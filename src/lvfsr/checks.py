@@ -13,9 +13,9 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from .fusion import (BRANCH_ORDER, build_fusion_params, cap_attention,
-                     dep_attention, des_attention, fusion_forward,
-                     seg_attention)
+from .fusion import (BRANCH_ORDER, _pixels, _unpixels, build_fusion_params,
+                     cap_attention, dep_attention, des_attention,
+                     fusion_forward, seg_attention)
 from .network import Model, NetworkConfig, _sub_forward
 from .numeric import (Rng, Tensor, add, concat, constant, conv2d, gelu,
                       global_avg_pool, grad_check, layer_norm, linear,
@@ -32,6 +32,17 @@ TOLERANCE = 1e-4
 
 DESK_FUSION = dict(c=8, h=4, w=4, t=2, d_c=16, d_d=16, heads=2)
 DESK_NETWORK = NetworkConfig(l=2, c=8, heads=4, r=8, d_c=16, d_d=16, k=4, h=8, w=8)
+NETWORK_BATCH = 16   # finite-difference points stacked per batched evaluation
+CHECK_WORKERS = 2    # processes sharing the finite differences of lvpfb/network
+_STEPS = ("branches", "fuse", "sub0", "sub1", "out")
+
+
+def _stack(ts: List[Tensor]) -> Tensor:
+    return constant(np.stack([t.data for t in ts]))
+
+
+def _tile(t: Tensor, n: int) -> Tensor:
+    return constant(np.broadcast_to(t.data, (n,) + t.shape))
 
 
 def _probe(rng: Rng) -> Callable[[Tensor], Tensor]:
@@ -143,10 +154,15 @@ def fusion_builder(seed: int):
 def network_builder(seed: int):
     """End-to-end desk network: degrade -> forward -> probe loss.
 
-    The forward takes grad_check's `changed` hint and resumes from the deepest
-    cached activation the perturbed parameter cannot influence. Caches refresh
-    only on unhinted (base-point) calls, and a one-time comparison against the
-    plain Model.forward pins the staged evaluation to the real one.
+    The forward takes grad_check's `points` for one named parameter. Each
+    point re-evaluates only the stage that holds the parameter (the entry
+    convs, one fusion branch, the fuse projection, one transformer sub-block
+    or recon) from activations cached at the base point. The stage outputs of
+    up to NETWORK_BATCH points are then stacked on a batch axis, and every
+    later stage runs once for the whole stack. Caches refresh only on
+    base-point calls. One-time comparisons against the plain Model.forward
+    pin the staged base evaluation exactly, and the batched evaluation of
+    every stage kind to float rounding.
     """
     cfg = DESK_NETWORK
     model = Model(cfg, "full", seed)
@@ -161,14 +177,15 @@ def network_builder(seed: int):
     bundle = synth_priors(hr, lr_img, seed, informative=True, image_id="check",
                           d_c=cfg.d_c, d_d=cfg.d_d, tokens=2, k=cfg.k)
     probe = _probe(Rng(seed))
-    lr64 = lr_img.astype(np.float64)
-    residual = constant(bicubic_resize(lr64, hr_size, hr_size))
+    lr = constant(lr_img.astype(np.float64))
+    residual = constant(bicubic_resize(lr.data, hr_size, hr_size))
 
-    # per-block caches: "ent" (x, inputs), "br" branch outputs, "fused", "mid"
-    bcache: List[dict] = [{} for _ in range(cfg.l)]
-    recon_in: List = [None]
+    # base-point activations per block: "ent" (x, inputs), "br" branch
+    # outputs, "tok0"/"tok1" the tokens entering each transformer sub-block
+    cache: List[dict] = [{} for _ in range(cfg.l)]
+    recon_in: List[Tensor] = []
 
-    def classify(name: str) -> Tuple[int, str]:
+    def stage_of(name: str) -> Tuple[int, str]:
         if name.startswith("block"):
             blk, rest = name.split(".", 1)
             return int(blk[5:]), rest.split(".")[1]
@@ -176,7 +193,7 @@ def network_builder(seed: int):
             return cfg.l, "recon"
         return -1, "entry"
 
-    def branch_out(bname, x, inputs, fp):
+    def branch(bname, x, inputs, fp):
         if bname == "seg":
             return seg_attention(x, inputs["seg"], fp.seg)
         if bname == "dep":
@@ -185,62 +202,113 @@ def network_builder(seed: int):
             return cap_attention(x, inputs["cap"], fp.cap)
         return des_attention(x, inputs["des"], fp.des)
 
-    def forward(changed=None):
-        base = changed is None
-        blk_i, part = (-1, "entry") if base else classify(changed)
-        if part == "recon":
-            x = recon_in[0]
-        else:
-            if part == "entry":
-                inputs = model.prior_inputs(bundle)
-                x = conv2d(constant(lr64), model.feat_w, model.feat_b,
-                           stride=1, pad=1)
-                first = 0
-            else:
-                x, inputs = bcache[blk_i]["ent"]
-                first = blk_i
-            hw = cfg.h * cfg.w
-            for i in range(first, cfg.l):
-                bc = bcache[i]
-                bp = model.blocks[i]
-                fp = bp.fusion
-                if base:
-                    bc["ent"] = (x, inputs)
-                if i == blk_i and part in ("t0", "t1"):
-                    toks = (_sub_forward(bc["tok0"], bp.subs[0], cfg.heads)
-                            if part == "t0" else bc["tok1"])
-                else:
-                    if i == blk_i and part == "fuse":
-                        outs = [bc["br"][b] for b in BRANCH_ORDER]
-                    elif i == blk_i:
-                        outs = [branch_out(b, x, inputs, fp) if b == part
-                                else bc["br"][b] for b in BRANCH_ORDER]
-                    else:
-                        outs = [branch_out(b, x, inputs, fp)
-                                for b in BRANCH_ORDER]
-                        if base:
-                            bc["br"] = dict(zip(BRANCH_ORDER, outs))
-                    fused = conv2d(concat(outs + [x], axis=0),
-                                   fp.fuse_w, fp.fuse_b, stride=1, pad=0)
-                    x = add(x, fused)
-                    toks = transpose(reshape(x, (cfg.c, hw)), (1, 0))
-                    if base:
-                        bc["tok0"] = toks
-                    toks = _sub_forward(toks, bp.subs[0], cfg.heads)
-                    if base:
-                        bc["tok1"] = toks
-                toks = _sub_forward(toks, bp.subs[1], cfg.heads)
-                x = reshape(transpose(toks, (1, 0)), (cfg.c, cfg.h, cfg.w))
-            if base:
-                recon_in[0] = x
+    def fuse(x, outs, fp):
+        fused = conv2d(concat(outs + [x], axis=-3), fp.fuse_w, fp.fuse_b,
+                       stride=1, pad=0)
+        return _pixels(add(x, fused))
+
+    def recon(x):
         y = conv2d(x, model.recon_w, model.recon_b, stride=1, pad=1)
-        y = pixel_shuffle(y, cfg.r)
-        y = add(y, residual)
-        return probe(y)
+        return add(pixel_shuffle(y, cfg.r), residual)
+
+    def run(i, step, x=None, inputs=None, outs=None, toks=None, record=False):
+        """Finish the network from `step` of block i; single or stacked."""
+        k = _STEPS.index(step)
+        while i < cfg.l:
+            bp, bc = model.blocks[i], cache[i]
+            if k == 0:
+                outs = [branch(b, x, inputs, bp.fusion) for b in BRANCH_ORDER]
+                if record:
+                    bc.update(ent=(x, inputs), br=outs)
+            if k <= 1:
+                toks = fuse(x, outs, bp.fusion)
+                if record:
+                    bc["tok0"] = toks
+            if k <= 2:
+                toks = _sub_forward(toks, bp.subs[0], cfg.heads)
+                if record:
+                    bc["tok1"] = toks
+            if k <= 3:
+                toks = _sub_forward(toks, bp.subs[1], cfg.heads)
+            x, i, k = _unpixels(toks, cfg.h, cfg.w), i + 1, 0
+        if record:
+            recon_in[:] = [x]
+        return recon(x)
+
+    def stage(i, part):
+        """The output of the stage holding a perturbed parameter."""
+        if part == "entry":
+            inputs = model.prior_inputs(bundle)
+            x = conv2d(lr, model.feat_w, model.feat_b, stride=1, pad=1)
+            return x, inputs["seg"], inputs["dep"]
+        if part == "recon":
+            return recon(recon_in[0])
+        bp, bc = model.blocks[i], cache[i]
+        x, inputs = bc["ent"]
+        if part in BRANCH_ORDER:
+            return branch(part, x, inputs, bp.fusion)
+        if part == "fuse":
+            return fuse(x, bc["br"], bp.fusion)
+        if part == "t0":
+            return _sub_forward(bc["tok0"], bp.subs[0], cfg.heads)
+        return _sub_forward(bc["tok1"], bp.subs[1], cfg.heads)
+
+    def finish(i, part, staged):
+        """Images for stacked stage outputs, running every later stage once."""
+        n = len(staged)
+        if part == "recon":
+            return [y.data for y in staged]
+        if part == "entry":
+            _, inputs = cache[0]["ent"]
+            inputs = dict(inputs, seg=_stack([s[1] for s in staged]),
+                          dep=_stack([s[2] for s in staged]))
+            return run(0, "branches", _stack([s[0] for s in staged]), inputs).data
+        x, inputs = cache[i]["ent"]
+        inputs = dict(inputs, seg=_tile(inputs["seg"], n), dep=_tile(inputs["dep"], n))
+        if part in BRANCH_ORDER:
+            outs = [_stack(staged) if b == part else _tile(o, n)
+                    for b, o in zip(BRANCH_ORDER, cache[i]["br"])]
+            return run(i, "fuse", _tile(x, n), inputs, outs=outs).data
+        step = {"fuse": "sub0", "t0": "sub1", "t1": "out"}[part]
+        return run(i, step, inputs=inputs, toks=_stack(staged)).data
+
+    def evaluate(name, points):
+        i, part = stage_of(name)
+        flat = model.params[name].data.reshape(-1)
+        losses = []
+        for lo in range(0, len(points), NETWORK_BATCH):
+            staged = []
+            for idx, value in points[lo:lo + NETWORK_BATCH]:
+                orig = flat[idx]
+                flat[idx] = value
+                staged.append(stage(i, part))
+                flat[idx] = orig
+            losses += [float(probe(constant(y)).data) for y in finish(i, part, staged)]
+        return losses
+
+    def forward(changed=None, points=None):
+        if points is not None:
+            return evaluate(changed, points)
+        x = conv2d(lr, model.feat_w, model.feat_b, stride=1, pad=1)
+        return probe(run(0, "branches", x, model.prior_inputs(bundle), record=True))
 
     ref = probe(model.forward(lr_img, bundle))
     if not np.array_equal(ref.data, forward().data):
         raise RuntimeError("staged forward diverged from Model.forward")
+    kinds = {}  # one parameter per stage, and per prior encoder
+    for name in model.params:
+        kinds.setdefault((stage_of(name), name.split(".")[0]), name)
+    for name in kinds.values():
+        flat = model.params[name].data.reshape(-1)
+        base = flat[0]
+        points = [(0, base + 1e-3), (0, base - 1e-3)]
+        for (_, value), got in zip(points, evaluate(name, points)):
+            flat[0] = value
+            want = float(probe(model.forward(lr_img, bundle)).data)
+            flat[0] = base
+            if abs(got - want) > 1e-12 * max(1.0, abs(want)):
+                raise RuntimeError(f"batched evaluation of '{name}' diverged "
+                                   f"from Model.forward: {got!r} vs {want!r}")
     return model.params, forward
 
 
@@ -248,7 +316,7 @@ def run_target(target: str, seed: int = 0) -> List[Tuple[str, float]]:
     if target == "op":
         return [(name, grad_check(b, seed=seed)) for name, b in op_builders()]
     if target == "lvpfb":
-        return [("lvpfb", grad_check(fusion_builder, seed=seed))]
+        return [("lvpfb", grad_check(fusion_builder, seed=seed, workers=CHECK_WORKERS))]
     if target == "network":
-        return [("network", grad_check(network_builder, seed=seed))]
+        return [("network", grad_check(network_builder, seed=seed, workers=CHECK_WORKERS))]
     raise ValueError(f"unknown gradcheck target '{target}'")

@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ShapeError
-from .network import Model, NetworkConfig
 from .numeric import atomic_write
 from .priors import luminance, read_ppm
 
@@ -36,11 +34,20 @@ def psnr(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
     return 10.0 * math.log10(max_val * max_val / mse)
 
 
-def _gauss_window(size: int, sigma: float) -> np.ndarray:
+def _gauss_taps(size: int, sigma: float) -> np.ndarray:
     x = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    g /= g.sum()
-    return np.outer(g, g)
+    return g / g.sum()
+
+
+def _band(taps: np.ndarray, extent: int) -> np.ndarray:
+    """(valid, extent) matrix whose row i holds `taps` at columns i..i+len-1."""
+    valid = extent - len(taps) + 1
+    band = np.zeros((valid, extent))
+    i = np.arange(valid)
+    for j, t in enumerate(taps):
+        band[i, i + j] = t
+    return band
 
 
 def ssim(a: np.ndarray, b: np.ndarray, window: int = 11, sigma: float = 1.5,
@@ -51,11 +58,13 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 11, sigma: float = 1.5,
     y = luminance(np.asarray(b, dtype=np.float64))
     if x.shape[0] < window or x.shape[1] < window:
         raise ShapeError(f"image {x.shape} smaller than the {window}x{window} window")
-    w = _gauss_window(window, sigma)
+    # the Gaussian window is separable: a windowed mean over valid positions
+    # is rows @ img @ cols with banded 1-D tap matrices
+    taps = _gauss_taps(window, sigma)
+    rows, cols = _band(taps, x.shape[0]), _band(taps, x.shape[1]).T
 
     def wmean(img):
-        v = sliding_window_view(img, (window, window))
-        return np.einsum("hwij,ij->hw", v, w)
+        return rows @ img @ cols
 
     mx, my = wmean(x), wmean(y)
     sxx = wmean(x * x) - mx * mx
@@ -103,14 +112,18 @@ def write_report(path, rep: MetricReport) -> None:
 def read_report(path) -> MetricReport:
     records, meta, footer = [], {}, None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.rstrip("\n").split("\t")
-            if parts[0] == "#meta":
-                meta[parts[1]] = parts[2]
-            elif parts[0] == "#mean":
-                footer = (float(parts[1]), float(parts[2]))
-            else:
-                records.append((parts[0], float(parts[1]), float(parts[2])))
+            try:
+                if parts[0] == "#meta":
+                    meta[parts[1]] = parts[2]
+                elif parts[0] == "#mean":
+                    footer = (float(parts[1]), float(parts[2]))
+                else:
+                    records.append((parts[0], float(parts[1]), float(parts[2])))
+            except (IndexError, ValueError):
+                raise DataError(f"{path}:{lineno}: malformed report line "
+                                f"{line.rstrip()!r}") from None
     if footer is None:
         raise DataError(f"{path}: missing #mean footer")
     return MetricReport(records, footer[0], footer[1], meta)
@@ -147,12 +160,6 @@ def eval_dir(pred_dir, gt_dir, out_report=None,
 
 ABLATION_TAGS = ("model1_no_prior", "model2_concat", "full",
                  "drop_FS", "drop_FD", "drop_EC", "drop_ED")
-
-
-def build_variant(tag: str, cfg: NetworkConfig, seed: int = 0) -> Model:
-    if tag not in ABLATION_TAGS:
-        raise DataError(f"unknown ablation tag '{tag}', expected one of {ABLATION_TAGS}")
-    return Model(cfg, tag, seed)
 
 
 def final_phase_loss(losses: Sequence[float]) -> float:

@@ -101,9 +101,9 @@ def build_fusion_params(store: ParamStore, prefix: str, c: int, d_c: int,
 def _spatial_gate(feat: Tensor, prior: Tensor, g: ConvGate) -> Tensor:
     if feat.shape != prior.shape:
         raise ShapeError(f"gate branch: feature {feat.shape} vs prior {prior.shape}")
-    a = conv2d(concat([feat, prior], axis=0), g.w1, g.b1, stride=1, pad=1)
+    a = conv2d(concat([feat, prior], axis=-3), g.w1, g.b1, stride=1, pad=1)
     a = sigmoid(conv2d(gelu(a), g.w2, g.b2, stride=1, pad=1))
-    return mul(feat, a)  # a is (1, H, W), broadcast over channels
+    return mul(feat, a)  # a is (..., 1, H, W), broadcast over channels
 
 
 def seg_attention(feat: Tensor, seg_feat: Tensor, g: ConvGate) -> Tensor:
@@ -117,13 +117,24 @@ def dep_attention(feat: Tensor, dep_feat: Tensor, g: ConvGate) -> Tensor:
 def cap_attention(feat: Tensor, cap_vec: Tensor, g: ChannelGate) -> Tensor:
     """Global channel gate from the pooled caption embedding."""
     gate = sigmoid(linear(cap_vec, g.w, g.b))
-    c = feat.shape[0]
+    c = feat.shape[-3]
     return mul(feat, reshape(gate, (c, 1, 1)))
 
 
+def _swap_last(lead: int) -> tuple:
+    return tuple(range(lead)) + (lead + 1, lead)
+
+
 def _pixels(feat: Tensor) -> Tensor:
-    c, h, w = feat.shape
-    return transpose(reshape(feat, (c, h * w)), (1, 0))
+    """(..., C, H, W) feature map to (..., H*W, C) pixel tokens."""
+    *lead, c, h, w = feat.shape
+    return transpose(reshape(feat, (*lead, c, h * w)), _swap_last(len(lead)))
+
+
+def _unpixels(toks: Tensor, h: int, w: int) -> Tensor:
+    """(..., H*W, C) pixel tokens back to a (..., C, H, W) feature map."""
+    *lead, _, c = toks.shape
+    return reshape(transpose(toks, _swap_last(len(lead))), (*lead, c, h, w))
 
 
 def des_attention(feat: Tensor, tokens: Tensor, ca: CrossAttention) -> Tensor:
@@ -136,7 +147,7 @@ def des_attention(feat: Tensor, tokens: Tensor, ca: CrossAttention) -> Tensor:
     """
     if tokens.shape[0] < 1:
         raise ShapeError("description branch requires at least one token")
-    c, h, w = feat.shape
+    h, w = feat.shape[-2:]
     px = _pixels(feat)
     s1, s2 = ca.stage1, ca.stage2
     q1 = linear(tokens, s1.qw, s1.qb)
@@ -147,12 +158,16 @@ def des_attention(feat: Tensor, tokens: Tensor, ca: CrossAttention) -> Tensor:
     o = scaled_dot_attention(q2, linear(u, s2.kw, s2.kb),
                              linear(u, s2.vw, s2.vb), ca.heads)
     o = linear(o, s2.ow, s2.ob)
-    return reshape(transpose(o, (1, 0)), (c, h, w))
+    return _unpixels(o, h, w)
 
 
 def fusion_forward(feat: Tensor, inputs: Dict[str, Tensor],
                    p: FusionParams) -> Tensor:
-    """feat + conv1x1(concat[branch outputs..., feat]) over enabled branches."""
+    """feat + conv1x1(concat[branch outputs..., feat]) over enabled branches.
+
+    feat may carry a leading batch axis (N, C, H, W); the spatial priors then
+    match it and the embedding priors are shared across the batch.
+    """
     outs = []
     if p.seg is not None:
         outs.append(seg_attention(feat, inputs["seg"], p.seg))
@@ -162,7 +177,7 @@ def fusion_forward(feat: Tensor, inputs: Dict[str, Tensor],
         outs.append(cap_attention(feat, inputs["cap"], p.cap))
     if p.des is not None:
         outs.append(des_attention(feat, inputs["des"], p.des))
-    fused = conv2d(concat(outs + [feat], axis=0), p.fuse_w, p.fuse_b, stride=1, pad=0)
+    fused = conv2d(concat(outs + [feat], axis=-3), p.fuse_w, p.fuse_b, stride=1, pad=0)
     return add(feat, fused)
 
 

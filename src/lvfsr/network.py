@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ShapeError
 from .fusion import (AttnProj, BRANCH_ORDER, ConcatFusion, FusionParams,
-                     build_concat_fusion, build_fusion_params,
-                     concat_fusion_forward, fusion_forward)
+                     _pixels, _unpixels, build_concat_fusion,
+                     build_fusion_params, concat_fusion_forward, fusion_forward)
 from .numeric import (Tensor, add, constant, conv2d, gelu, layer_norm, linear,
-                      pixel_shuffle, reshape, scaled_dot_attention,
-                      tensor_bytes, tensor_from_bytes, transpose)
+                      pixel_shuffle, scaled_dot_attention, tensor_bytes,
+                      tensor_from_bytes)
 from .numeric.tenio import atomic_write
 from .params import ParamStore
 from .priors import PriorBundle, encode_depth, encode_mask
@@ -117,24 +117,28 @@ def _sub_forward(x: Tensor, sub: TransformerSub, heads: int) -> Tensor:
 
 def basic_block(feat: Tensor, bp: BlockParams, heads: int) -> Tensor:
     """Two cascaded pre-norm transformer sub-blocks over HW tokens."""
-    c, h, w = feat.shape
-    toks = transpose(reshape(feat, (c, h * w)), (1, 0))
+    toks = _pixels(feat)
     for sub in bp.subs:
         toks = _sub_forward(toks, sub, heads)
-    return reshape(transpose(toks, (1, 0)), (c, h, w))
+    return _unpixels(toks, *feat.shape[-2:])
 
 
 class Model:
-    """A built network: config, variant, and every named parameter."""
+    """A built network: config, variant, and every named parameter.
 
-    def __init__(self, config: NetworkConfig, variant: str, seed: int):
+    Parameters are drawn from `seed`, or taken from `saved` (a checkpoint's
+    (name, array) pairs, in registration order) without requiring grad.
+    """
+
+    def __init__(self, config: NetworkConfig, variant: str, seed: int,
+                 saved: Optional[List[Tuple[str, np.ndarray]]] = None):
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{variant}', expected one of {VARIANTS}")
         config.validate()
         self.config = config
         self.variant = variant
         self.seed = seed
-        store = ParamStore(seed)
+        store = ParamStore(seed, saved)
         c = config.c
 
         self.feat_w, self.feat_b = store.conv("feat.conv", c, 3, 3)
@@ -355,14 +359,13 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
-    model = Model(ckpt.config, ckpt.variant, ckpt.seed)
-    names = list(model.params)
-    saved = [n for n, _ in ckpt.params]
-    if names != saved:
+    """An inference model holding the checkpoint's parameters.
+
+    Nothing is drawn: each parameter takes its saved array as the
+    architecture registers it. The parameters do not require grad, so a
+    forward records no tape; set `requires_grad` on them to train.
+    """
+    model = Model(ckpt.config, ckpt.variant, ckpt.seed, saved=ckpt.params)
+    if len(model.params) != len(ckpt.params):
         raise FormatError("checkpoint parameter names do not match the architecture")
-    for name, arr in ckpt.params:
-        p = model.params[name]
-        if p.data.shape != arr.shape:
-            raise FormatError(f"parameter '{name}' shape {arr.shape} != {p.data.shape}")
-        p.data = arr.astype(np.float32)
     return model

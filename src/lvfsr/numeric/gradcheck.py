@@ -4,15 +4,25 @@ A builder constructs named float64 parameters and a forward closure; the
 closure is re-evaluated around each parameter entry. Comparison is the
 symmetric relative error |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
 
-The forward closure may accept a ``changed`` keyword naming the parameter
-perturbed for the current evaluation. Deep builders use it to resume from
-cached activations of unaffected layers; the hint never alters the value,
-only how much of it is recomputed.
+The forward closure may accept ``changed`` and ``points`` keywords. It is
+then called once per parameter, with ``changed`` naming it and ``points``
+listing (flat index, value) pairs, and returns one loss per point: the loss
+with that single entry set to that value and every other entry at its base.
+Deep builders use this to evaluate a batch of points per pass and to resume
+from cached activations of unaffected layers; each value must equal the
+one-point-at-a-time evaluation up to float rounding.
+
+With ``workers`` > 1 the entries are dealt round-robin to that many
+processes. Each extra worker is a fresh (spawned) process that rebuilds the
+target from ``builder(seed)``, so the builder must be picklable, and gets
+the analytic gradients from this one; the result is the maximum over all.
 """
 
 from __future__ import annotations
 
 import inspect
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -22,19 +32,40 @@ from .tensor import Tensor, backward, set_finite_checks
 Builder = Callable[[int], Tuple[Dict[str, Tensor], Callable[..., Tensor]]]
 
 
-def grad_check(builder: Builder, seed: int = 0, eps: float = 1e-4) -> float:
+def grad_check(builder: Builder, seed: int = 0, eps: float = 1e-4,
+               workers: int = 1) -> float:
+    if workers < 1:
+        raise ValueError(f"grad_check needs at least one worker, got {workers}")
+    params, forward = _build(builder, seed)
+    loss = forward()
+    analytic = ({name: g.data for name, g in backward(loss).items()}
+                if loss.requires_grad else {})
+    if workers == 1:
+        return _worst(params, forward, analytic, eps, 0, 1)
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers - 1, mp_context=ctx) as pool:
+        others = [pool.submit(_rebuilt_worst, builder, seed, analytic, eps, rank, workers)
+                  for rank in range(1, workers)]
+        worst = _worst(params, forward, analytic, eps, 0, workers)
+        return max([worst] + [f.result() for f in others])
+
+
+def _build(builder: Builder, seed: int):
     params, forward = builder(seed)
     for p in params.values():
         if p.data.dtype != np.float64:
             p.data = p.data.astype(np.float64)
-    takes_hint = "changed" in inspect.signature(forward).parameters
+    return params, forward
 
-    loss = forward()
-    if loss.requires_grad:
-        analytic = backward(loss)
-    else:
-        analytic = {}
 
+def _rebuilt_worst(builder, seed, analytic, eps, rank, workers) -> float:
+    params, forward = _build(builder, seed)
+    return _worst(params, forward, analytic, eps, rank, workers)
+
+
+def _worst(params, forward, analytic, eps, rank, workers) -> float:
+    """Worst error over entries rank, rank + workers, ... of each parameter."""
+    takes_points = "points" in inspect.signature(forward).parameters
     # finite differences run un-taped on the same parameter arrays; a fresh
     # base evaluation refreshes any builder-held caches with untracked tensors
     for p in params.values():
@@ -44,23 +75,30 @@ def grad_check(builder: Builder, seed: int = 0, eps: float = 1e-4) -> float:
         forward()
         max_err = 0.0
         for name, p in params.items():
-            ga = analytic[name].data.reshape(-1) if name in analytic else None
+            ga = analytic[name].reshape(-1) if name in analytic else None
             flat = p.data.reshape(-1)
-            kwargs = {"changed": name} if takes_hint else {}
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + eps
-                f_hi = float(forward(**kwargs).data)
-                flat[idx] = orig - eps
-                f_lo = float(forward(**kwargs).data)
-                flat[idx] = orig
+            entries = range(rank, flat.size, workers)
+            if takes_points:
+                points = [(idx, flat[idx] + sign * eps)
+                          for idx in entries for sign in (1.0, -1.0)]
+                values = forward(changed=name, points=points) if points else []
+            for j, idx in enumerate(entries):
+                if takes_points:
+                    f_hi, f_lo = values[2 * j], values[2 * j + 1]
+                else:
+                    orig = flat[idx]
+                    flat[idx] = orig + eps
+                    f_hi = float(forward().data)
+                    flat[idx] = orig - eps
+                    f_lo = float(forward().data)
+                    flat[idx] = orig
                 numeric = (f_hi - f_lo) / (2.0 * eps)
                 exact = 0.0 if ga is None else float(ga[idx])
                 err = abs(exact - numeric) / max(1e-8, abs(exact) + abs(numeric))
                 if err > max_err:
                     max_err = err
+        return max_err
     finally:
         set_finite_checks(True)
         for p in params.values():
             p.requires_grad = True
-    return max_err

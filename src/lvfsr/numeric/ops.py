@@ -7,6 +7,7 @@ like attention. All ops run un-taped when no input requires a gradient.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -84,7 +85,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     data = x.data.transpose(axes)
-    inv = tuple(np.argsort(axes))
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def bwd(g):
         return (g.transpose(inv),)
@@ -287,17 +288,6 @@ def gelu(x: Tensor) -> Tensor:
     return make_node(y, "gelu", (x,), bwd)
 
 
-_ACTIVATIONS = {"sigmoid": sigmoid, "gelu": gelu}
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation kind {kind!r}") from None
-    return fn(x)
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
@@ -310,44 +300,62 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return make_node(y, "softmax", (x,), bwd)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
-    """Multi-head softmax(Q Kt / sqrt(dh)) V over 2-D token matrices.
+@functools.lru_cache(maxsize=None)
+def _head_axes(lead: int) -> tuple:
+    """Swap the token and head axes behind `lead` leading axes (self-inverse)."""
+    return tuple(range(lead)) + (lead + 1, lead, lead + 2)
 
-    q: (T, D), k: (S, D), v: (S, Dv); D and Dv must divide by heads; the head
-    outputs are concatenated back to (T, Dv).
+
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
+    """Multi-head softmax(Q Kt / sqrt(dh)) V over token matrices.
+
+    q: (..., T, D), k: (..., S, D), v: (..., S, Dv); the leading (batch) axes
+    broadcast against each other. D and Dv must divide by heads; the head
+    outputs are concatenated back to (..., T, Dv).
     """
-    t, d = q.data.shape
-    s, dk = k.data.shape
-    sv, dv = v.data.shape
+    if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2:
+        raise ShapeError("attention: q, k and v must be token matrices")
+    t, d = q.data.shape[-2:]
+    s, dk = k.data.shape[-2:]
+    sv, dv = v.data.shape[-2:]
     if dk != d:
         raise ShapeError(f"attention: query width {d} != key width {dk}")
     if sv != s:
         raise ShapeError(f"attention: {s} keys vs {sv} values")
     if d % heads or dv % heads:
         raise ShapeError(f"attention: widths {d}/{dv} not divisible by {heads} heads")
+    lead = q.data.shape[:-2]
+    if k.data.shape[:-2] != lead or v.data.shape[:-2] != lead:
+        try:
+            lead = np.broadcast_shapes(lead, k.data.shape[:-2], v.data.shape[:-2])
+        except ValueError:
+            raise ShapeError(f"attention: batch axes of {q.data.shape}, {k.data.shape} "
+                             f"and {v.data.shape} do not broadcast") from None
     dh, dvh = d // heads, dv // heads
     sc = 1.0 / math.sqrt(dh)
-    # (heads, tokens, width) layout; the scale folds into the smaller operand
-    # and the softmax chain reuses the logits buffer
-    qh = q.data.reshape(t, heads, dh).transpose(1, 0, 2) * sc
-    kh = k.data.reshape(s, heads, dh).transpose(1, 0, 2)
-    vh = v.data.reshape(s, heads, dvh).transpose(1, 0, 2)
-    a = qh @ kh.transpose(0, 2, 1)
+    # (..., heads, tokens, width) layout; the scale folds into the smaller
+    # operand and the softmax chain reuses the logits buffer
+    qd, kd, vd = q.data, k.data, v.data
+    qh = qd.reshape(qd.shape[:-2] + (t, heads, dh)).transpose(_head_axes(qd.ndim - 2)) * sc
+    kh = kd.reshape(kd.shape[:-2] + (s, heads, dh)).transpose(_head_axes(kd.ndim - 2))
+    vh = vd.reshape(vd.shape[:-2] + (s, heads, dvh)).transpose(_head_axes(vd.ndim - 2))
+    a = qh @ kh.swapaxes(-1, -2)
     np.subtract(a, a.max(axis=-1, keepdims=True), out=a)
     np.exp(a, out=a)
     np.divide(a, a.sum(axis=-1, keepdims=True), out=a)
-    out = (a @ vh).transpose(1, 0, 2).reshape(t, dv)
+    hx = _head_axes(len(lead))
+    out = (a @ vh).transpose(hx).reshape(lead + (t, dv))
 
     def bwd(g):
-        gh = g.reshape(t, heads, dvh).transpose(1, 0, 2)
-        gv = a.transpose(0, 2, 1) @ gh
-        ga = gh @ vh.transpose(0, 2, 1)
+        gh = g.reshape(lead + (t, heads, dvh)).transpose(hx)
+        gv = a.swapaxes(-1, -2) @ gh
+        ga = gh @ vh.swapaxes(-1, -2)
         gl = a * (ga - (ga * a).sum(axis=-1, keepdims=True))
         gq = (gl @ kh) * sc
-        gk = gl.transpose(0, 2, 1) @ qh
-        return (gq.transpose(1, 0, 2).reshape(t, d),
-                gk.transpose(1, 0, 2).reshape(s, d),
-                gv.transpose(1, 0, 2).reshape(s, dv))
+        gk = gl.swapaxes(-1, -2) @ qh
+        return (_unbroadcast(gq.transpose(hx).reshape(lead + (t, d)), q.data.shape),
+                _unbroadcast(gk.transpose(hx).reshape(lead + (s, d)), k.data.shape),
+                _unbroadcast(gv.transpose(hx).reshape(lead + (s, dv)), v.data.shape))
 
     return make_node(out, "scaled_dot_attention", (q, k, v), bwd)
 

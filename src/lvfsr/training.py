@@ -221,6 +221,8 @@ def run_training(cfg: TrainConfig, out_dir, resume: Optional[str] = None,
             raise ConfigError(f"resume refused: checkpoint variant '{ckpt.variant}' "
                               f"!= run variant '{cfg.variant}'")
         model = model_from_checkpoint(ckpt)
+        for p in model.params.values():
+            p.requires_grad = True  # restored parameters come back without grad
         state.m = {k: v.copy() for k, v in ckpt.opt_m.items()}
         state.v = {k: v.copy() for k, v in ckpt.opt_v.items()}
         start_step = ckpt.step

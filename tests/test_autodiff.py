@@ -1,13 +1,15 @@
 """Reverse-mode mechanics: tape, accumulation, lifecycle, Adam, grad_check."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from lvfsr.checks import op_builders
 from lvfsr.errors import GraphError, NonFiniteError
 from lvfsr.numeric import (AdamHyper, AdamState, Tensor, adam_step, add,
-                           backward, grad_check, mean_all, mul, sigmoid,
-                           sum_all, zero_grads)
+                           backward, grad_check, mean_all, mul,
+                           scaled_dot_attention, sigmoid, sum_all, zero_grads)
 from lvfsr.numeric.tensor import constant, parameter
 
 
@@ -152,6 +154,76 @@ def test_grad_check_detects_wrong_backward():
         return p, forward
 
     assert grad_check(builder, seed=0) > 1e-2
+
+
+def test_grad_check_batched_attention():
+    def builder(seed):
+        rng = np.random.default_rng(seed)
+        p = {"q": parameter(rng.uniform(-1, 1, (3, 8)), "q"),
+             "k": parameter(rng.uniform(-1, 1, (2, 4, 8)), "k"),
+             "v": parameter(rng.uniform(-1, 1, (2, 4, 8)), "v")}
+        w = constant(rng.uniform(-1, 1, (2, 3, 8)))
+
+        def forward():
+            return mean_all(mul(scaled_dot_attention(p["q"], p["k"], p["v"], heads=2), w))
+
+        return p, forward
+
+    assert grad_check(builder, seed=4) < 1e-6
+
+
+def _pointwise_builder(seed, fail_at=None):
+    """A small loss; with fail_at set, perturbing that entry of x raises."""
+    rng = np.random.default_rng(seed)
+    p = {"x": parameter(rng.uniform(0.5, 1.5, (3, 4)), "x"),
+         "y": parameter(rng.uniform(-1.0, 1.0, (4,)), "y")}
+    base = p["x"].data.copy()
+
+    def forward():
+        if fail_at is not None and p["x"].data.flat[fail_at] != base.flat[fail_at]:
+            raise RuntimeError("entry under test")
+        return mean_all(sigmoid(mul(mul(p["x"], p["x"]), p["y"])))
+
+    return p, forward
+
+
+def _points_builder(seed, calls=None):
+    """_pointwise_builder behind the batched `points` protocol."""
+    p, plain = _pointwise_builder(seed)
+
+    def forward(changed=None, points=None):
+        if points is None:
+            return plain()
+        flat = p[changed].data.reshape(-1)
+        out = []
+        for idx, value in points:
+            orig, flat[idx] = flat[idx], value
+            out.append(float(plain().data))
+            flat[idx] = orig
+        if calls is not None:
+            calls.append((changed, len(points)))
+        return out
+
+    return p, forward
+
+
+def test_grad_check_points_protocol_matches_plain():
+    want = grad_check(_pointwise_builder, seed=2)
+    calls = []
+    assert grad_check(functools.partial(_points_builder, calls=calls), seed=2) == want
+    assert calls == [("x", 24), ("y", 8)]
+    assert grad_check(_points_builder, seed=2, workers=2) == want
+
+
+def test_grad_check_workers_agree_and_report_failures():
+    want = grad_check(_pointwise_builder, seed=5)
+    assert grad_check(_pointwise_builder, seed=5, workers=2) == want
+    assert grad_check(_pointwise_builder, seed=5, workers=3) == want
+    # entry 1 is dealt to worker 1 of 2, a separate process
+    with pytest.raises(RuntimeError, match="entry under test"):
+        grad_check(functools.partial(_pointwise_builder, fail_at=1), seed=5, workers=2)
+    with pytest.raises(ValueError):
+        grad_check(_pointwise_builder, seed=5, workers=0)
 
 
 def test_sigmoid_chain_grad():

@@ -34,6 +34,23 @@ def fresh_params(seed=0, branches=BRANCH_ORDER):
     return store, p
 
 
+def test_fusion_forward_batch_axis_matches_per_image():
+    _, p = fresh_params(seed=21)
+    for t in (p.fuse_w, p.fuse_b):  # open the zero-initialised projection
+        t.data = Rng(22).stream(str(t.shape)).uniform(t.shape, -0.3, 0.3)
+    feats = [feature(23 + i) for i in range(3)]
+    priors = [branch_inputs(26 + i) for i in range(3)]
+    shared = priors[0]
+    stacked = {name: constant(np.stack([pr[name].data for pr in priors]))
+               for name in ("seg", "dep")}
+    stacked.update(cap=shared["cap"], des=shared["des"])
+    got = fusion_forward(constant(np.stack([f.data for f in feats])), stacked, p).data
+    assert got.shape == (3, C, H, W)
+    for i, (f, pr) in enumerate(zip(feats, priors)):
+        one = fusion_forward(f, dict(pr, cap=shared["cap"], des=shared["des"]), p).data
+        np.testing.assert_allclose(got[i], one, rtol=0, atol=1e-14)
+
+
 def test_branch_order_is_fixed():
     # serialized checkpoints depend on this exact order
     assert BRANCH_ORDER == ("seg", "dep", "cap", "des")

@@ -72,9 +72,8 @@ def test_ssim_rejects_small_images():
         ssim(img(0, 8, 8), img(1, 8, 8))
 
 
-def test_ssim_matches_window_oracle():
+def _window_oracle_ssim(a, b):
     """Direct per-window evaluation of the SSIM definition."""
-    a, b = img(9, 14, 13), img(10, 14, 13)
     x, y = luminance(a), luminance(b)
     win, sig = 11, 1.5
     g1 = np.arange(win) - (win - 1) / 2
@@ -92,7 +91,16 @@ def test_ssim_matches_window_oracle():
             sxy = (w * xs * ys).sum() - mx * my
             vals.append(((2 * mx * my + c1) * (2 * sxy + c2)) /
                         ((mx * mx + my * my + c1) * (sxx + syy + c2)))
-    assert ssim(a, b) == pytest.approx(np.mean(vals), abs=1e-6)
+    return np.mean(vals)
+
+
+def test_ssim_matches_window_oracle():
+    # an odd small extent, and the 128x128 extent of evaluation images
+    pairs = [(img(9, 14, 13), img(10, 14, 13))]
+    hr = img(11, 128, 128)
+    pairs.append((hr, np.clip(hr + Rng(12).uniform(hr.shape, -0.2, 0.2), 0, 1)))
+    for a, b in pairs:
+        assert ssim(a, b) == pytest.approx(_window_oracle_ssim(a, b), abs=1e-6)
 
 
 # --- reports -----------------------------------------------------------------
@@ -120,6 +128,15 @@ def test_report_round_trip_exact(tmp_path):
     assert back.mean_ssim == rep.mean_ssim
     assert back.meta == rep.meta
     assert report_text(back) == report_text(rep)
+
+
+@pytest.mark.parametrize("line", ["img1\t20.0", "img1\t20.0\tnope", "#mean\t1.0"],
+                         ids=["short-record", "non-float-field", "short-footer"])
+def test_read_report_rejects_malformed_line(tmp_path, line):
+    p = tmp_path / "bad.tsv"
+    p.write_text(f"img0\t30.0\t0.9\n{line}\n#mean\t30.0\t0.9\n")
+    with pytest.raises(DataError, match=r"bad\.tsv:2: malformed report line"):
+        read_report(p)
 
 
 def test_read_report_requires_footer(tmp_path):

@@ -188,7 +188,11 @@ def test_model_from_checkpoint_reproduces_forward(tmp_path):
     _, back = roundtrip(checkpoint_of(model, 1, {}, {}), tmp_path)
     clone = model_from_checkpoint(back)
     img, b = lr_image(3), bundle_for(3)
-    assert np.array_equal(model.forward(img, b).data, clone.forward(img, b).data)
+    out = clone.forward(img, b)
+    # a restored model is for inference: its forward records no tape
+    assert not out.requires_grad and out._backward is None and not out._parents
+    assert not any(p.requires_grad for p in clone.params.values())
+    assert np.array_equal(model.forward(img, b).data, out.data)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -224,6 +228,19 @@ def test_checkpoint_rejects_architecture_mismatch(tmp_path):
     ckpt.params = ckpt.params[1:]  # drop one tensor
     # serialization itself is happy; rebuilding the model is what must fail
     with pytest.raises(FormatError, match="do not match"):
+        model_from_checkpoint(ckpt)
+    ckpt = checkpoint_of(Model(CFG, "full", 0), 0)
+    ckpt.params[2], ckpt.params[3] = ckpt.params[3], ckpt.params[2]
+    with pytest.raises(FormatError, match="do not match"):
+        model_from_checkpoint(ckpt)
+    ckpt = checkpoint_of(Model(CFG, "full", 0), 0)
+    ckpt.params.append(("extra.weight", np.zeros(1, np.float32)))
+    with pytest.raises(FormatError, match="do not match"):
+        model_from_checkpoint(ckpt)
+    ckpt = checkpoint_of(Model(CFG, "full", 0), 0)
+    name, arr = ckpt.params[3]
+    ckpt.params[3] = (name, arr[:1])
+    with pytest.raises(FormatError, match=f"parameter '{name}' shape"):
         model_from_checkpoint(ckpt)
 
 

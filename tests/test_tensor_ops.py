@@ -120,6 +120,27 @@ def test_attention_shape_errors():
     with pytest.raises(ShapeError):
         scaled_dot_attention(Tensor(np.zeros((4, 8))), Tensor(np.zeros((5, 8))),
                              Tensor(np.zeros((5, 8))), heads=3)
+    with pytest.raises(ShapeError):  # batch axes that do not broadcast
+        scaled_dot_attention(Tensor(np.zeros((2, 4, 8))), Tensor(np.zeros((3, 5, 8))),
+                             Tensor(np.zeros((3, 5, 8))))
+    with pytest.raises(ShapeError):
+        scaled_dot_attention(Tensor(np.zeros(8)), Tensor(np.zeros((5, 8))),
+                             Tensor(np.zeros((5, 8))))
+
+
+def test_attention_batch_axes_match_per_sample():
+    rng = np.random.default_rng(9)
+    q = rng.standard_normal((3, 5, 8))
+    k = rng.standard_normal((3, 7, 8))
+    v = rng.standard_normal((3, 7, 12))
+    got = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), heads=2).data
+    shared = scaled_dot_attention(Tensor(q[0]), Tensor(k), Tensor(v), heads=2).data
+    assert got.shape == shared.shape == (3, 5, 12)
+    for i in range(3):
+        one = scaled_dot_attention(Tensor(q[i]), Tensor(k[i]), Tensor(v[i]), heads=2).data
+        np.testing.assert_allclose(got[i], one, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(shared[i], attention_oracle(q[0], k[i], v[i], 2),
+                                   rtol=0, atol=1e-12)
 
 
 def test_layer_norm_formula():
