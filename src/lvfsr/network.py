@@ -64,6 +64,8 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"network config must be an object, got {type(d).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:
@@ -71,7 +73,14 @@ class NetworkConfig:
         missing = known - set(d)
         if missing:
             raise ConfigError(f"missing network config keys: {sorted(missing)}")
-        return cls(**{k: int(v) for k, v in d.items()}).validate()
+        values = {}
+        for k, v in d.items():
+            try:
+                values[k] = int(v)
+            except (TypeError, ValueError):
+                raise ConfigError(f"network config key '{k}' must be an integer, "
+                                  f"got {v!r}") from None
+        return cls(**values).validate()
 
 
 @dataclass
@@ -304,10 +313,12 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes, context: str):
-        self.buf, self.pos, self.context = buf, 0, context
+    """Reads a checkpoint buffer front to back; blobs are views into it."""
 
-    def take(self, n: int) -> bytes:
+    def __init__(self, buf: bytes, context: str):
+        self.buf, self.pos, self.context = memoryview(buf), 0, context
+
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise FormatError(f"{self.context}: truncated checkpoint")
         chunk = self.buf[self.pos:self.pos + n]
@@ -317,8 +328,14 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def blob(self) -> bytes:
+    def blob(self) -> memoryview:
         return self.take(self.u32())
+
+    def text(self, what: str) -> str:
+        try:
+            return bytes(self.blob()).decode()
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.context}: {what} is not UTF-8") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -331,10 +348,12 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CKPT_VERSION:
         raise FormatError(f"{path}: checkpoint version {version}, expected {CKPT_VERSION}")
     try:
-        head = json.loads(rd.blob().decode())
+        head = json.loads(rd.text("config block"))
+        if not isinstance(head, dict):
+            raise ConfigError(f"header is a JSON {type(head).__name__}, not an object")
         config = NetworkConfig.from_dict(head["config"])
         variant = head["variant"]
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, ConfigError) as e:
         raise FormatError(f"{path}: malformed config block: {e}") from None
     if variant not in VARIANTS:
         raise FormatError(f"{path}: unknown variant '{variant}'")
@@ -342,7 +361,7 @@ def load_checkpoint(path) -> Checkpoint:
     params: List[Tuple[str, np.ndarray]] = []
     seen = set()
     for _ in range(n):
-        name = rd.blob().decode()
+        name = rd.text("parameter name")
         if name in seen:
             raise FormatError(f"{path}: duplicate parameter '{name}'")
         seen.add(name)

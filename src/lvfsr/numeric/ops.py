@@ -94,22 +94,32 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
+    xs = tuple(xs)
     if not xs:
         raise ShapeError("concat requires at least one input")
-    base = list(xs[0].data.shape)
+    first = xs[0].data.shape
+    nd = len(first)
+    ax = axis + nd if axis < 0 else axis
+    if not 0 <= ax < nd:
+        raise ShapeError(f"concat axis {axis} out of range for rank {nd}")
+    head, tail = first[:ax], first[ax + 1:]
     for t in xs[1:]:
-        s = list(t.data.shape)
-        s[axis] = base[axis]
-        if s != base:
+        s = t.data.shape
+        if len(s) != nd or s[:ax] != head or s[ax + 1:] != tail:
             raise ShapeError(f"concat extents differ off axis {axis}: "
-                             f"{xs[0].data.shape} vs {t.data.shape}")
-    data = np.concatenate([t.data for t in xs], axis=axis)
-    splits = np.cumsum([t.data.shape[axis] for t in xs])[:-1]
+                             f"{first} vs {s}")
+    data = np.concatenate([t.data for t in xs], axis=ax)
 
     def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
+        lead = (slice(None),) * ax
+        parts, lo = [], 0
+        for t in xs:
+            hi = lo + t.data.shape[ax]
+            parts.append(g[lead + (slice(lo, hi),)])
+            lo = hi
+        return tuple(parts)
 
-    return make_node(data, "concat", tuple(xs), bwd)
+    return make_node(data, "concat", xs, bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -137,10 +147,9 @@ def mean_abs(x: Tensor) -> Tensor:
     """Mean absolute value; subgradient at 0 is 0 (sign convention)."""
     n = x.data.size
     data = np.asarray(np.abs(x.data).sum() / n)
-    sgn = np.sign(x.data)
 
     def bwd(g):
-        return (g * sgn / n,)
+        return (g * np.sign(x.data) / n,)
 
     return make_node(data, "mean_abs", (x,), bwd)
 
@@ -167,12 +176,54 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return make_node(data, "linear", parents, bwd)
 
 
+@functools.lru_cache(maxsize=64)
+def _conv_index(cin: int, h: int, w: int, kh: int, kw: int,
+                stride: int, pad: int) -> tuple:
+    """Gather indices that lower one image's conv to a GEMM and lift it back.
+
+    `cols` (ho*wo, cin*kh*kw) maps each column-matrix entry, a (c, i, j) tap
+    of an output pixel, to the flat input position it reads; padding reads
+    the zero slot cin*h*w. `taps` (kh*kw, cin*h*w) maps each (i, j) tap and
+    flat input position to the column-matrix entry that reads it, or to the
+    zero slot ho*wo*cin*kh*kw when none does. `taps` keeps at least two
+    columns (the extra one reads the zero slot): numpy reduces a unit-extent
+    row pairwise, and the tap sum must stay sequential.
+    """
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    chw, ntap = cin * h * w, kh * kw
+    c = np.arange(cin)[:, None, None]
+    i = np.arange(kh)[:, None]
+    j = np.arange(kw)
+    ys = (np.arange(ho) * stride)[:, None, None, None, None] + i - pad
+    xs = (np.arange(wo) * stride)[:, None, None, None] + j - pad
+    inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    cols = np.where(inside, c * (h * w) + ys * w + xs, chw)
+    cols = cols.reshape(ho * wo, cin * ntap)
+
+    oy, ry = np.divmod(np.arange(h) + pad - np.arange(kh)[:, None], stride)
+    ox, rx = np.divmod(np.arange(w) + pad - np.arange(kw)[:, None], stride)
+    oky = (ry == 0) & (oy >= 0) & (oy < ho)            # (kh, h)
+    okx = (rx == 0) & (ox >= 0) & (ox < wo)            # (kw, w)
+    tap = np.arange(ntap).reshape(kh, kw)[:, :, None, None, None]
+    entry = ((oy[:, None, None, :, None] * wo + ox[None, :, None, None, :]) * cin
+             + c[None, None]) * ntap + tap
+    hit = oky[:, None, None, :, None] & okx[None, :, None, None, :]
+    taps = np.where(hit, entry, ho * wo * cin * ntap).reshape(ntap, chw)
+    if chw == 1:
+        taps = np.concatenate([taps, np.full((ntap, 1), ho * wo * cin * ntap)], axis=1)
+    for a in (cols, taps):
+        a.setflags(write=False)
+    return cols, taps
+
+
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
            stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation over NCHW (or unbatched CHW) with zero padding.
 
-    The window view is flattened into one matrix product; 1x1 kernels skip
-    the window extraction entirely.
+    The windows are gathered into one column matrix for a single matrix
+    product; 1x1 kernels skip the gather entirely. The input gradient is
+    only formed when `x` requires one.
     """
     squeeze = x.data.ndim == 3
     xd = x.data[None] if squeeze else x.data
@@ -195,19 +246,14 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
             n, cout, h, wd_)
         if b is not None:
             y += b.data[:, None, None]
-        xp = xd
         mat = None
     else:
-        if pad:
-            xp = np.zeros((n, cin, h + 2 * pad, wd_ + 2 * pad), dtype=xd.dtype)
-            xp[:, :, pad:pad + h, pad:pad + wd_] = xd
-        else:
-            xp = xd
-        s0, s1, s2, s3 = xp.strides
-        win = np.lib.stride_tricks.as_strided(
-            xp, (n, cin, ho, wo, kh, kw),
-            (s0, s1, s2 * stride, s3 * stride, s2, s3))
-        mat = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, cin * kh * kw)
+        cols, taps = _conv_index(cin, h, wd_, kh, kw, stride, pad)
+        chw = cin * h * wd_
+        xz = np.empty((n, chw + 1), dtype=xd.dtype)
+        xz[:, :chw] = xd.reshape(n, chw)
+        xz[:, chw] = 0
+        mat = xz.take(cols, axis=1).reshape(n * ho * wo, cin * kh * kw)
         y = mat @ w.data.reshape(cout, -1).T
         if b is not None:
             np.add(y, b.data, out=y)
@@ -216,23 +262,26 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 
     def bwd(g):
         g4 = g[None] if squeeze else g
+        gx = None
         if mat is None:
             gflat = g4.reshape(n, cout, ho * wo)
             gw = np.tensordot(g4, xd, axes=([0, 2, 3], [0, 2, 3])).reshape(w.data.shape)
-            gx = (w.data.reshape(cout, cin).T @ gflat).reshape(n, cin, h, wd_)
+            if x.requires_grad:
+                gx = (w.data.reshape(cout, cin).T @ gflat).reshape(n, cin, h, wd_)
         else:
             gmat = np.ascontiguousarray(g4.transpose(0, 2, 3, 1)).reshape(
                 n * ho * wo, cout)
             gw = (gmat.T @ mat).reshape(w.data.shape)
-            gcols = (gmat @ w.data.reshape(cout, -1)).reshape(n, ho, wo, cin, kh, kw)
-            gcols = gcols.transpose(0, 3, 1, 2, 4, 5)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + stride * ho:stride,
-                        j:j + stride * wo:stride] += gcols[:, :, :, :, i, j]
-            gx = gxp[:, :, pad:pad + h, pad:pad + wd_] if pad else gxp
-        if squeeze:
+            if x.requires_grad:
+                # each input pixel sums its column-matrix entries tap by tap,
+                # in (i, j) order from +0.0, as a scatter-add over taps would
+                size = ho * wo * cin * kh * kw
+                gz = np.empty((n, size + 1), dtype=gmat.dtype)
+                gz[:, :size] = (gmat @ w.data.reshape(cout, -1)).reshape(n, size)
+                gz[:, size] = 0
+                gx = np.add.reduce(gz.take(taps, axis=1), axis=1, initial=0.0)
+                gx = gx[:, :chw].reshape(n, cin, h, wd_)
+        if squeeze and gx is not None:
             gx = gx[0]
         if b is None:
             return gx, gw

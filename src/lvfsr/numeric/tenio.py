@@ -29,11 +29,12 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
     return header + a.tobytes(order="C")
 
 
-def tensor_from_bytes(buf: bytes, context: str = "<bytes>") -> np.ndarray:
+def tensor_from_bytes(buf, context: str = "<bytes>") -> np.ndarray:
+    """Parse a `.ten` payload from any bytes-like buffer into a fresh array."""
     if len(buf) < 8:
         raise FormatError(f"{context}: truncated header ({len(buf)} bytes)")
     if buf[:4] != MAGIC:
-        raise FormatError(f"{context}: bad magic {buf[:4]!r}, expected {MAGIC!r}")
+        raise FormatError(f"{context}: bad magic {bytes(buf[:4])!r}, expected {MAGIC!r}")
     (rank,) = struct.unpack_from("<I", buf, 4)
     if rank > _MAX_RANK:
         raise FormatError(f"{context}: rank {rank} exceeds the format maximum {_MAX_RANK}")

@@ -1,5 +1,8 @@
 """Model assembly, variants, forward contracts, checkpoint format."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -220,6 +223,37 @@ def test_checkpoint_truncation_and_trailing(tmp_path):
         load_checkpoint(p)
     p.write_bytes(buf + b"\x00")
     with pytest.raises(FormatError, match="trailing"):
+        load_checkpoint(p)
+
+
+def _with_header(buf: bytes, header: bytes) -> bytes:
+    """Swap the JSON config block of serialized checkpoint bytes."""
+    (old,) = struct.unpack_from("<I", buf, 24)
+    return buf[:24] + struct.pack("<I", len(header)) + header + buf[28 + old:]
+
+
+@pytest.mark.parametrize("header", [
+    b'[{"config": {}, "variant": "full"}]',  # a list, not an object
+    None,                                      # a null config value
+], ids=["json-list", "null-config-value"])
+def test_checkpoint_malformed_header_is_format_error(tmp_path, header):
+    buf = checkpoint_bytes(checkpoint_of(Model(CFG, "full", 0), 0))
+    if header is None:
+        head = {"config": {**CFG.to_dict(), "c": None}, "variant": "full"}
+        header = json.dumps(head).encode()
+    p = tmp_path / "h.lvck"
+    p.write_bytes(_with_header(buf, header))
+    with pytest.raises(FormatError, match=r"h\.lvck: malformed config block"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_non_utf8_name_is_format_error(tmp_path):
+    buf = bytearray(checkpoint_bytes(checkpoint_of(Model(CFG, "full", 0), 0)))
+    (head,) = struct.unpack_from("<I", buf, 24)
+    buf[28 + head + 8] = 0xFF  # first byte of the first parameter name
+    p = tmp_path / "n.lvck"
+    p.write_bytes(bytes(buf))
+    with pytest.raises(FormatError, match=r"n\.lvck: parameter name is not UTF-8"):
         load_checkpoint(p)
 
 

@@ -65,6 +65,126 @@ def test_conv2d_shape_errors():
         conv2d(x, Tensor(np.zeros((2, 3, 7, 7))))  # kernel exceeds input
 
 
+def strided_conv_reference(x, w, b, stride, pad, g):
+    """conv2d forward and gradients as an as_strided window and a tap loop.
+
+    This is the formulation conv2d used before its gather lowering; the
+    lowering promises the same bytes, so results are compared exactly.
+    """
+    squeeze = x.ndim == 3
+    xd, g4 = (x[None], g[None]) if squeeze else (x, g)
+    n, cin, h, wd = xd.shape
+    cout, _, kh, kw = w.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
+    if kh == kw == 1 and stride == 1 and pad == 0:
+        y = (w.reshape(cout, cin) @ xd.reshape(n, cin, h * wd)).reshape(n, cout, h, wd)
+        y += b[:, None, None]
+        gw = np.tensordot(g4, xd, axes=([0, 2, 3], [0, 2, 3])).reshape(w.shape)
+        gx = (w.reshape(cout, cin).T @ g4.reshape(n, cout, ho * wo)).reshape(n, cin, h, wd)
+    else:
+        xp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=xd.dtype)
+        xp[:, :, pad:pad + h, pad:pad + wd] = xd
+        s0, s1, s2, s3 = xp.strides
+        win = np.lib.stride_tricks.as_strided(
+            xp, (n, cin, ho, wo, kh, kw), (s0, s1, s2 * stride, s3 * stride, s2, s3))
+        mat = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, cin * kh * kw)
+        y = mat @ w.reshape(cout, -1).T
+        np.add(y, b, out=y)
+        y = np.ascontiguousarray(y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
+        gmat = np.ascontiguousarray(g4.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
+        gw = (gmat.T @ mat).reshape(w.shape)
+        gcols = (gmat @ w.reshape(cout, -1)).reshape(n, ho, wo, cin, kh, kw)
+        gcols = gcols.transpose(0, 3, 1, 2, 4, 5)
+        gxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i:i + stride * ho:stride,
+                    j:j + stride * wo:stride] += gcols[:, :, :, :, i, j]
+        gx = gxp[:, :, pad:pad + h, pad:pad + wd]
+    gb = g4.sum(axis=(0, 2, 3))
+    if squeeze:
+        y, gx = y[0], gx[0]
+    return y, gx, gw, gb
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv2d_bit_identical_to_strided_reference(dtype, batched, stride, pad, k):
+    rng = np.random.default_rng(100 * stride + 10 * pad + k)
+    cin, cout, h, wd = 3, 4, 5, 6
+    lead = (2,) if batched else ()
+    x = rng.standard_normal(lead + (cin, h, wd)).astype(dtype)
+    x[..., ::4] = 0.0
+    w = rng.standard_normal((cout, cin, k, k)).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype)
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (wd + 2 * pad - k) // stride + 1
+    g = rng.standard_normal(lead + (cout, ho, wo)).astype(dtype)
+    g[..., 0] = -0.0  # a scatter-add from +0.0 never yields -0.0
+    ref = strided_conv_reference(x, w, b, stride, pad, g)
+    out = conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                 Tensor(b, requires_grad=True), stride=stride, pad=pad)
+    got = (out.data,) + tuple(out._backward(g))
+    for name, r, v in zip(("y", "gx", "gw", "gb"), ref, got):
+        assert same_bytes(np.asarray(v), r), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_bit_identical_on_single_pixel(dtype):
+    # all nine taps of every output read the one pixel, so its gradient is a
+    # nine-term sum that must keep the reference's sequential order
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((1, 1, 1)).astype(dtype)
+    w = (rng.standard_normal((2, 1, 3, 3)) * 10.0 ** rng.integers(-6, 6, (2, 1, 3, 3))).astype(dtype)
+    b = rng.standard_normal(2).astype(dtype)
+    g = rng.standard_normal((2, 3, 3)).astype(dtype)
+    ref = strided_conv_reference(x, w, b, 1, 2, g)
+    out = conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                 Tensor(b, requires_grad=True), stride=1, pad=2)
+    got = (out.data,) + tuple(out._backward(g))
+    for name, r, v in zip(("y", "gx", "gw", "gb"), ref, got):
+        assert same_bytes(np.asarray(v), r), name
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv2d_constant_input_gets_no_gradient(k):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3, 5, 5))
+    w = Tensor(rng.standard_normal((2, 3, k, k)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    g = rng.standard_normal((2, 5, 5))
+    pad = k // 2
+    gx, gw, gb = conv2d(Tensor(x), w, b, stride=1, pad=pad)._backward(g)
+    assert gx is None
+    _, gw_ref, gb_ref = conv2d(Tensor(x, requires_grad=True), w, b,
+                               stride=1, pad=pad)._backward(g)
+    assert same_bytes(gw, gw_ref) and same_bytes(gb, gb_ref)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1, -3])
+def test_concat_backward_matches_split(axis):
+    rng = np.random.default_rng(8)
+    shapes = [[2, 3, 4], [2, 3, 4], [2, 3, 4]]
+    for s, extent in zip(shapes, (1, 3, 2)):
+        s[axis] = extent
+    parts = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    out = concat(parts, axis=axis)
+    g = rng.standard_normal(out.shape)
+    ref = np.split(g, np.cumsum([s[axis] for s in shapes])[:-1], axis=axis)
+    got = out._backward(g)
+    assert len(got) == 3
+    for r, v in zip(ref, got):
+        assert same_bytes(v, r)
+
+
 def test_linear_matches_einsum():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 5, 6))
