@@ -14,8 +14,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from .fusion import (BRANCH_ORDER, _pixels, _unpixels, build_fusion_params,
-                     cap_attention, dep_attention, des_attention,
-                     fusion_forward, seg_attention)
+                     fusion_branch, fusion_forward, fusion_merge)
 from .network import Model, NetworkConfig, _sub_forward
 from .numeric import (Rng, Tensor, add, concat, constant, conv2d, gelu,
                       global_avg_pool, grad_check, layer_norm, linear,
@@ -33,7 +32,7 @@ TOLERANCE = 1e-4
 DESK_FUSION = dict(c=8, h=4, w=4, t=2, d_c=16, d_d=16, heads=2)
 DESK_NETWORK = NetworkConfig(l=2, c=8, heads=4, r=8, d_c=16, d_d=16, k=4, h=8, w=8)
 NETWORK_BATCH = 16   # finite-difference points stacked per batched evaluation
-CHECK_WORKERS = 2    # processes sharing the finite differences of lvpfb/network
+CHECK_WORKERS = 2    # processes sharing the finite differences of network
 _STEPS = ("branches", "fuse", "sub0", "sub1", "out")
 
 
@@ -126,7 +125,14 @@ def op_builders() -> List[Tuple[str, Callable]]:
 
 
 def fusion_builder(seed: int):
-    """Full fusion block at desk shapes, every branch live."""
+    """Full fusion block at desk shapes, every branch live.
+
+    The forward takes grad_check's `changed` hint. A base call (no hint)
+    caches the four branch outputs; a call naming a branch parameter or its
+    prior input re-runs that branch alone, the fuse projection reuses all
+    four, and the feature input re-runs everything. Each staged loss equals
+    the plain fusion_forward loss bit for bit, which the builder checks once.
+    """
     d = DESK_FUSION
     c, h, w, t = d["c"], d["h"], d["w"], d["t"]
     store = ParamStore(seed)
@@ -142,12 +148,40 @@ def fusion_builder(seed: int):
                         ("input.des", (t, d["d_d"]))]:
         params[name] = parameter(rr.stream(name).uniform(shape, -1.0, 1.0), name)
     probe = _probe(Rng(seed))
+    feat = params["input.feat"]
+    inputs = {b: params[f"input.{b}"] for b in BRANCH_ORDER}
+    base: List[Tensor] = []  # branch outputs at the base point, in BRANCH_ORDER
 
-    def forward():
-        inputs = {"seg": params["input.seg"], "dep": params["input.dep"],
-                  "cap": params["input.cap"], "des": params["input.des"]}
-        return probe(fusion_forward(params["input.feat"], inputs, fp))
+    def forward(changed=None):
+        # "fusion.seg.conv1.weight" and "input.seg" -> "seg"; "fusion.fuse.*"
+        # -> "fuse"; "input.feat" -> "feat"
+        part = None if changed is None else changed.split(".")[1]
+        if part is None or part == "feat":
+            outs = [fusion_branch(b, feat, inputs, fp) for b in BRANCH_ORDER]
+            if part is None:
+                base[:] = outs
+        else:
+            outs = [fusion_branch(b, feat, inputs, fp) if b == part else o
+                    for b, o in zip(BRANCH_ORDER, base)]
+        return probe(fusion_merge(feat, outs, fp))
 
+    def plain():
+        return probe(fusion_forward(feat, inputs, fp)).data
+
+    if not np.array_equal(forward().data, plain()):
+        raise RuntimeError("staged fusion forward diverged from fusion_forward")
+    kinds = {}  # one parameter per stage
+    for name in params:
+        kinds.setdefault(name.split(".")[1], name)
+    for name in kinds.values():
+        flat = params[name].data.reshape(-1)
+        orig = flat[0]
+        flat[0] = orig + 1e-3
+        got, want = forward(changed=name).data, plain()
+        flat[0] = orig
+        if not np.array_equal(got, want):
+            raise RuntimeError(f"staged evaluation of '{name}' diverged "
+                               f"from fusion_forward: {got!r} vs {want!r}")
     return params, forward
 
 
@@ -193,20 +227,6 @@ def network_builder(seed: int):
             return cfg.l, "recon"
         return -1, "entry"
 
-    def branch(bname, x, inputs, fp):
-        if bname == "seg":
-            return seg_attention(x, inputs["seg"], fp.seg)
-        if bname == "dep":
-            return dep_attention(x, inputs["dep"], fp.dep)
-        if bname == "cap":
-            return cap_attention(x, inputs["cap"], fp.cap)
-        return des_attention(x, inputs["des"], fp.des)
-
-    def fuse(x, outs, fp):
-        fused = conv2d(concat(outs + [x], axis=-3), fp.fuse_w, fp.fuse_b,
-                       stride=1, pad=0)
-        return _pixels(add(x, fused))
-
     def recon(x):
         y = conv2d(x, model.recon_w, model.recon_b, stride=1, pad=1)
         return add(pixel_shuffle(y, cfg.r), residual)
@@ -217,11 +237,11 @@ def network_builder(seed: int):
         while i < cfg.l:
             bp, bc = model.blocks[i], cache[i]
             if k == 0:
-                outs = [branch(b, x, inputs, bp.fusion) for b in BRANCH_ORDER]
+                outs = [fusion_branch(b, x, inputs, bp.fusion) for b in BRANCH_ORDER]
                 if record:
                     bc.update(ent=(x, inputs), br=outs)
             if k <= 1:
-                toks = fuse(x, outs, bp.fusion)
+                toks = _pixels(fusion_merge(x, outs, bp.fusion))
                 if record:
                     bc["tok0"] = toks
             if k <= 2:
@@ -246,9 +266,9 @@ def network_builder(seed: int):
         bp, bc = model.blocks[i], cache[i]
         x, inputs = bc["ent"]
         if part in BRANCH_ORDER:
-            return branch(part, x, inputs, bp.fusion)
+            return fusion_branch(part, x, inputs, bp.fusion)
         if part == "fuse":
-            return fuse(x, bc["br"], bp.fusion)
+            return _pixels(fusion_merge(x, bc["br"], bp.fusion))
         if part == "t0":
             return _sub_forward(bc["tok0"], bp.subs[0], cfg.heads)
         return _sub_forward(bc["tok1"], bp.subs[1], cfg.heads)
@@ -316,7 +336,7 @@ def run_target(target: str, seed: int = 0) -> List[Tuple[str, float]]:
     if target == "op":
         return [(name, grad_check(b, seed=seed)) for name, b in op_builders()]
     if target == "lvpfb":
-        return [("lvpfb", grad_check(fusion_builder, seed=seed, workers=CHECK_WORKERS))]
+        return [("lvpfb", grad_check(fusion_builder, seed=seed))]
     if target == "network":
         return [("network", grad_check(network_builder, seed=seed, workers=CHECK_WORKERS))]
     raise ValueError(f"unknown gradcheck target '{target}'")

@@ -19,9 +19,9 @@ from typing import List, Optional
 from .checks import TOLERANCE, run_target
 from .datagen import generate_dataset
 from .errors import DataError, LvfsrError
-from .evaluate import (ABLATION_TAGS, AblationSpec, ablation_report_text,
-                       eval_dir, report_text, run_ablation)
-from .network import load_checkpoint, model_from_checkpoint
+from .evaluate import (AblationSpec, ablation_report_text, eval_dir,
+                       report_text, run_ablation)
+from .network import VARIANTS, load_checkpoint, model_from_checkpoint
 from .priors import load_prior_bundle, read_ppm, write_ppm
 from .training import load_train_config, run_training
 
@@ -101,9 +101,9 @@ def _resolve_variants(raw: str) -> List[str]:
         if not part:
             continue
         tag = _VARIANT_ALIASES.get(part, part)
-        if tag not in ABLATION_TAGS:
+        if tag not in VARIANTS:
             raise DataError(f"unknown variant '{part}', expected one of "
-                            f"{sorted(set(ABLATION_TAGS) | set(_VARIANT_ALIASES))}")
+                            f"{sorted(set(VARIANTS) | set(_VARIANT_ALIASES))}")
         tags.append(tag)
     if not tags:
         raise DataError("empty variant list")

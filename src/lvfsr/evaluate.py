@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DataError, ShapeError
+from .network import VARIANTS
 from .numeric import atomic_write
 from .priors import luminance, read_ppm
 
@@ -158,10 +159,6 @@ def eval_dir(pred_dir, gt_dir, out_report=None,
 
 # --- ablation -----------------------------------------------------------
 
-ABLATION_TAGS = ("model1_no_prior", "model2_concat", "full",
-                 "drop_FS", "drop_FD", "drop_EC", "drop_ED")
-
-
 def final_phase_loss(losses: Sequence[float]) -> float:
     """Mean loss over the final 10% of steps (at least one step)."""
     n = max(1, len(losses) // 10)
@@ -240,8 +237,8 @@ def run_ablation(variants: Sequence[str], spec: AblationSpec, work_dir,
     from .training import NetworkFields, TrainConfig, run_training
 
     for tag in variants:
-        if tag not in ABLATION_TAGS:
-            raise DataError(f"unknown ablation tag '{tag}', expected one of {ABLATION_TAGS}")
+        if tag not in VARIANTS:
+            raise DataError(f"unknown ablation tag '{tag}', expected one of {VARIANTS}")
     work = os.fspath(work_dir)
     spe = spec.count // spec.batch
     if spe < 1:

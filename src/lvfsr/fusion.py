@@ -9,7 +9,7 @@ network ignores the priors entirely until training opens the gates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ShapeError
 import numpy as np
@@ -161,6 +161,28 @@ def des_attention(feat: Tensor, tokens: Tensor, ca: CrossAttention) -> Tensor:
     return _unpixels(o, h, w)
 
 
+def fusion_branch(name: str, feat: Tensor, inputs: Dict[str, Tensor],
+                  p: FusionParams) -> Tensor:
+    """The output of one branch, reading only its own prior and parameters."""
+    # resolved through the module globals at call time, so a caller that
+    # rebinds a branch function (a per-layer timer) still sees every call
+    if name == "seg":
+        return seg_attention(feat, inputs["seg"], p.seg)
+    elif name == "dep":
+        return dep_attention(feat, inputs["dep"], p.dep)
+    elif name == "cap":
+        return cap_attention(feat, inputs["cap"], p.cap)
+    elif name == "des":
+        return des_attention(feat, inputs["des"], p.des)
+    raise ValueError(f"unknown fusion branch '{name}'")
+
+
+def fusion_merge(feat: Tensor, outs: List[Tensor], p: FusionParams) -> Tensor:
+    """feat + conv1x1(concat[outs..., feat]), outs in BRANCH_ORDER."""
+    fused = conv2d(concat(outs + [feat], axis=-3), p.fuse_w, p.fuse_b, stride=1, pad=0)
+    return add(feat, fused)
+
+
 def fusion_forward(feat: Tensor, inputs: Dict[str, Tensor],
                    p: FusionParams) -> Tensor:
     """feat + conv1x1(concat[branch outputs..., feat]) over enabled branches.
@@ -168,17 +190,7 @@ def fusion_forward(feat: Tensor, inputs: Dict[str, Tensor],
     feat may carry a leading batch axis (N, C, H, W); the spatial priors then
     match it and the embedding priors are shared across the batch.
     """
-    outs = []
-    if p.seg is not None:
-        outs.append(seg_attention(feat, inputs["seg"], p.seg))
-    if p.dep is not None:
-        outs.append(dep_attention(feat, inputs["dep"], p.dep))
-    if p.cap is not None:
-        outs.append(cap_attention(feat, inputs["cap"], p.cap))
-    if p.des is not None:
-        outs.append(des_attention(feat, inputs["des"], p.des))
-    fused = conv2d(concat(outs + [feat], axis=-3), p.fuse_w, p.fuse_b, stride=1, pad=0)
-    return add(feat, fused)
+    return fusion_merge(feat, [fusion_branch(n, feat, inputs, p) for n in p.enabled()], p)
 
 
 @dataclass

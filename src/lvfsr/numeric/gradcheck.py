@@ -12,6 +12,11 @@ Deep builders use this to evaluate a batch of points per pass and to resume
 from cached activations of unaffected layers; each value must equal the
 one-point-at-a-time evaluation up to float rounding.
 
+A forward that accepts ``changed`` but not ``points`` is evaluated one point
+at a time like a plain one, with ``changed`` naming the perturbed parameter
+on every finite-difference call and left out of every base call. It may
+cache on base calls and recompute only what the named parameter reaches.
+
 With ``workers`` > 1 the entries are dealt round-robin to that many
 processes. Each extra worker is a fresh (spawned) process that rebuilds the
 target from ``builder(seed)``, so the builder must be picklable, and gets
@@ -65,7 +70,8 @@ def _rebuilt_worst(builder, seed, analytic, eps, rank, workers) -> float:
 
 def _worst(params, forward, analytic, eps, rank, workers) -> float:
     """Worst error over entries rank, rank + workers, ... of each parameter."""
-    takes_points = "points" in inspect.signature(forward).parameters
+    keywords = inspect.signature(forward).parameters
+    takes_points = "points" in keywords
     # finite differences run un-taped on the same parameter arrays; a fresh
     # base evaluation refreshes any builder-held caches with untracked tensors
     for p in params.values():
@@ -78,6 +84,7 @@ def _worst(params, forward, analytic, eps, rank, workers) -> float:
             ga = analytic[name].reshape(-1) if name in analytic else None
             flat = p.data.reshape(-1)
             entries = range(rank, flat.size, workers)
+            hint = {"changed": name} if "changed" in keywords else {}
             if takes_points:
                 points = [(idx, flat[idx] + sign * eps)
                           for idx in entries for sign in (1.0, -1.0)]
@@ -88,9 +95,9 @@ def _worst(params, forward, analytic, eps, rank, workers) -> float:
                 else:
                     orig = flat[idx]
                     flat[idx] = orig + eps
-                    f_hi = float(forward().data)
+                    f_hi = float(forward(**hint).data)
                     flat[idx] = orig - eps
-                    f_lo = float(forward().data)
+                    f_lo = float(forward(**hint).data)
                     flat[idx] = orig
                 numeric = (f_hi - f_lo) / (2.0 * eps)
                 exact = 0.0 if ga is None else float(ga[idx])

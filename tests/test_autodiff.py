@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from lvfsr.checks import op_builders
+from lvfsr.checks import fusion_builder, op_builders
 from lvfsr.errors import GraphError, NonFiniteError
 from lvfsr.numeric import (AdamHyper, AdamState, Tensor, adam_step, add,
                            backward, grad_check, mean_all, mul,
@@ -213,6 +213,63 @@ def test_grad_check_points_protocol_matches_plain():
     assert grad_check(functools.partial(_points_builder, calls=calls), seed=2) == want
     assert calls == [("x", 24), ("y", 8)]
     assert grad_check(_points_builder, seed=2, workers=2) == want
+
+
+def _changed_builder(seed, calls=None):
+    """_pointwise_builder behind the `changed` hint, checking every hint.
+
+    A call whose hint does not name the one parameter that differs from the
+    base (or names one when none differs) raises, in a worker process too.
+    """
+    p, plain = _pointwise_builder(seed)
+    base = {name: t.data.copy() for name, t in p.items()}
+
+    def forward(changed=None):
+        moved = [n for n, t in p.items() if not np.array_equal(t.data, base[n])]
+        if moved != ([] if changed is None else [changed]):
+            raise RuntimeError(f"hint {changed!r} for moved parameters {moved}")
+        if calls is not None:
+            calls.append(changed)
+        return plain()
+
+    return p, forward
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grad_check_changed_hint_names_each_perturbed_parameter(workers):
+    want = grad_check(_pointwise_builder, seed=2)
+    calls = []
+    got = grad_check(functools.partial(_changed_builder, calls=calls), seed=2,
+                     workers=workers)
+    assert got == want
+    # this process keeps entries 0, workers, 2 * workers, ... of x (12) and y (4)
+    # after the taped base call and the refresh
+    assert calls == [None, None] + ["x"] * (24 // workers) + ["y"] * (8 // workers)
+
+
+def _recording(builder, losses, hide_hint=False):
+    """builder whose forward records each loss; hide_hint hides `changed`."""
+    def wrapped(seed):
+        params, forward = builder(seed)
+
+        def record(**hint):
+            loss = forward(**hint)
+            losses.append(loss.data.tobytes())
+            return loss
+
+        return params, record if hide_hint else functools.wraps(forward)(record)
+
+    return wrapped
+
+
+def test_fusion_builder_staged_losses_equal_plain_bytes():
+    staged, plain = [], []
+    got = grad_check(_recording(fusion_builder, staged), seed=0)
+    want = grad_check(_recording(fusion_builder, plain, hide_hint=True), seed=0)
+    assert got == want
+    entries = sum(t.data.size for t in fusion_builder(0)[0].values())
+    assert len(staged) == 2 * entries + 2
+    assert staged == plain
 
 
 def test_grad_check_workers_agree_and_report_failures():
