@@ -9,6 +9,7 @@ report reproduces the in-memory values exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -41,13 +42,17 @@ def _gauss_taps(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def _band(taps: np.ndarray, extent: int) -> np.ndarray:
-    """(valid, extent) matrix whose row i holds `taps` at columns i..i+len-1."""
-    valid = extent - len(taps) + 1
+@functools.lru_cache(maxsize=32)
+def _band(extent: int, window: int, sigma: float) -> np.ndarray:
+    """Read-only (valid, extent) matrix whose row i holds the Gaussian taps
+    at columns i..i+window-1."""
+    taps = _gauss_taps(window, sigma)
+    valid = extent - window + 1
     band = np.zeros((valid, extent))
     i = np.arange(valid)
     for j, t in enumerate(taps):
         band[i, i + j] = t
+    band.flags.writeable = False
     return band
 
 
@@ -61,8 +66,7 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 11, sigma: float = 1.5,
         raise ShapeError(f"image {x.shape} smaller than the {window}x{window} window")
     # the Gaussian window is separable: a windowed mean over valid positions
     # is rows @ img @ cols with banded 1-D tap matrices
-    taps = _gauss_taps(window, sigma)
-    rows, cols = _band(taps, x.shape[0]), _band(taps, x.shape[1]).T
+    rows, cols = _band(x.shape[0], window, sigma), _band(x.shape[1], window, sigma).T
 
     def wmean(img):
         return rows @ img @ cols

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -20,9 +20,9 @@ from .fusion import (AttnProj, BRANCH_ORDER, ConcatFusion, FusionParams,
                      _pixels, _unpixels, build_concat_fusion,
                      build_fusion_params, concat_fusion_forward, fusion_forward)
 from .numeric import (Tensor, add, constant, conv2d, gelu, layer_norm, linear,
-                      pixel_shuffle, scaled_dot_attention, tensor_bytes,
-                      tensor_from_bytes)
-from .numeric.tenio import atomic_write
+                      pixel_shuffle, scaled_dot_attention, tensor_bytes)
+from .numeric.tenio import (atomic_write, tensor_extents, tensor_from_bytes,
+                            tensor_view)
 from .params import ParamStore
 from .priors import PriorBundle, encode_depth, encode_mask
 from .resample import bicubic_resize
@@ -251,8 +251,11 @@ class Model:
         base = self._residual_cache.get(key)
         if base is None:
             cfg = self.config
-            base = bicubic_resize(lr.astype(np.float64),
-                                  cfg.h * cfg.r, cfg.w * cfg.r).astype(dt)
+            # a value-preserving input dtype: the resize writes its float64
+            # result straight into `dt` when the LR image already has it
+            src = lr.astype(np.promote_types(lr.dtype, dt), copy=False)
+            base = bicubic_resize(src, cfg.h * cfg.r,
+                                  cfg.w * cfg.r).astype(dt, copy=False)
             if len(self._residual_cache) >= 64:
                 self._residual_cache.clear()
             self._residual_cache[key] = base
@@ -268,8 +271,25 @@ class Checkpoint:
     seed: int
     step: int
     params: List[Tuple[str, np.ndarray]]
-    opt_m: Dict[str, np.ndarray] = field(default_factory=dict)
-    opt_v: Dict[str, np.ndarray] = field(default_factory=dict)
+    opt_m: Mapping[str, np.ndarray] = field(default_factory=dict)
+    opt_v: Mapping[str, np.ndarray] = field(default_factory=dict)
+
+
+class _Moments(Mapping):
+    """Adam moments of a loaded checkpoint: checked blobs of its buffer,
+    parsed into a fresh array on each read."""
+
+    def __init__(self, blobs: Dict[str, memoryview], context: str):
+        self._blobs, self._context = blobs, context
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return tensor_from_bytes(self._blobs[name], f"{self._context}:{name}")
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._blobs)
+
+    def __len__(self) -> int:
+        return len(self._blobs)
 
 
 def checkpoint_of(model: Model, step: int, opt_m: Optional[Dict] = None,
@@ -339,6 +359,13 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read and check a checkpoint file, copying none of its floats.
+
+    Parameters are read-only views of the file's bytes, which
+    `model_from_checkpoint` copies once. Every Adam moment's framing and
+    extents are checked here, but its floats are parsed only when `opt_m` or
+    `opt_v` is read, so an inference restore never copies them.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     rd = _Reader(buf, str(path))
@@ -365,16 +392,22 @@ def load_checkpoint(path) -> Checkpoint:
         if name in seen:
             raise FormatError(f"{path}: duplicate parameter '{name}'")
         seen.add(name)
-        params.append((name, tensor_from_bytes(rd.blob(), context=f"{path}:{name}")))
-    opt_m: Dict[str, np.ndarray] = {}
-    opt_v: Dict[str, np.ndarray] = {}
+        params.append((name, tensor_view(rd.blob(), context=f"{path}:{name}")))
+    opt_m: Dict[str, memoryview] = {}
+    opt_v: Dict[str, memoryview] = {}
     if struct.unpack("<B", rd.take(1))[0]:
-        for name, _ in params:
-            opt_m[name] = tensor_from_bytes(rd.blob(), context=f"{path}:m:{name}")
-            opt_v[name] = tensor_from_bytes(rd.blob(), context=f"{path}:v:{name}")
+        for name, arr in params:
+            for which, moments in (("m", opt_m), ("v", opt_v)):
+                context = f"{path}:{which}:{name}"
+                moments[name] = rd.blob()
+                extents = tensor_extents(moments[name], context)
+                if extents != arr.shape:
+                    raise FormatError(f"{context}: moment extents {extents} != "
+                                      f"parameter extents {arr.shape}")
     if rd.pos != len(buf):
         raise FormatError(f"{path}: {len(buf) - rd.pos} trailing bytes")
-    return Checkpoint(config, variant, seed, step, params, opt_m, opt_v)
+    return Checkpoint(config, variant, seed, step, params,
+                      _Moments(opt_m, f"{path}:m"), _Moments(opt_v, f"{path}:v"))
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:

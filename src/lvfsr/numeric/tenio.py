@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from typing import Tuple
 
 import numpy as np
 
@@ -29,8 +30,8 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
     return header + a.tobytes(order="C")
 
 
-def tensor_from_bytes(buf, context: str = "<bytes>") -> np.ndarray:
-    """Parse a `.ten` payload from any bytes-like buffer into a fresh array."""
+def tensor_extents(buf, context: str = "<bytes>") -> Tuple[int, ...]:
+    """Check a `.ten` payload's framing and return its extents."""
     if len(buf) < 8:
         raise FormatError(f"{context}: truncated header ({len(buf)} bytes)")
     if buf[:4] != MAGIC:
@@ -48,8 +49,22 @@ def tensor_from_bytes(buf, context: str = "<bytes>") -> np.ndarray:
     if len(buf) != need + 4 * count:
         raise FormatError(f"{context}: payload is {len(buf) - need} bytes, "
                           f"extents {shape} require {4 * count}")
-    data = np.frombuffer(buf, dtype="<f4", offset=need, count=count)
-    return data.reshape(shape).copy()
+    return shape
+
+
+def tensor_view(buf, context: str = "<bytes>") -> np.ndarray:
+    """Check a `.ten` payload and return its floats as an array over `buf`.
+
+    Nothing is copied: the array keeps `buf` alive, and is read-only when
+    `buf` is (as `bytes` and views of it are).
+    """
+    shape = tensor_extents(buf, context)
+    return np.frombuffer(buf, dtype="<f4", offset=8 + 4 * len(shape)).reshape(shape)
+
+
+def tensor_from_bytes(buf, context: str = "<bytes>") -> np.ndarray:
+    """Parse a `.ten` payload from any bytes-like buffer into a fresh array."""
+    return tensor_view(buf, context).copy()
 
 
 def write_ten(path, arr: np.ndarray) -> None:

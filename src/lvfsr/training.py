@@ -223,8 +223,8 @@ def run_training(cfg: TrainConfig, out_dir, resume: Optional[str] = None,
         model = model_from_checkpoint(ckpt)
         for p in model.params.values():
             p.requires_grad = True  # restored parameters come back without grad
-        state.m = {k: v.copy() for k, v in ckpt.opt_m.items()}
-        state.v = {k: v.copy() for k, v in ckpt.opt_v.items()}
+        state.m = dict(ckpt.opt_m)  # each read of a loaded moment is a fresh copy
+        state.v = dict(ckpt.opt_v)
         start_step = ckpt.step
     else:
         model = Model(net_cfg, cfg.variant, cfg.seed)

@@ -257,6 +257,57 @@ def test_checkpoint_non_utf8_name_is_format_error(tmp_path):
         load_checkpoint(p)
 
 
+def _moments(model, seed):
+    return {n: Rng(seed).stream(n).uniform(p.data.shape).astype(np.float32)
+            for n, p in model.params.items()}
+
+
+def test_checkpoint_moment_bad_magic_fails_at_load(tmp_path):
+    model = Model(CFG, "full", 0)
+    # the moments follow the parameter section and its has-moments flag
+    start = len(checkpoint_bytes(checkpoint_of(model, 0)))
+    buf = bytearray(checkpoint_bytes(checkpoint_of(model, 0, _moments(model, 1),
+                                                   _moments(model, 2))))
+    assert buf[start + 4:start + 8] == b"LVT1"
+    buf[start + 4] = ord("X")  # first byte of the first parameter's m blob
+    p = tmp_path / "mm.lvck"
+    p.write_bytes(bytes(buf))
+    with pytest.raises(FormatError, match=r"mm\.lvck:m:feat\.conv\.weight: bad magic"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("which", ["m", "v"])
+def test_checkpoint_moment_extents_checked_at_load(tmp_path, which):
+    model = Model(CFG, "full", 0)
+    moments = {"m": _moments(model, 1), "v": _moments(model, 2)}
+    name = "block0.body.t0.attn.q.weight"
+    moments[which][name] = moments[which][name][:, :3]
+    p = tmp_path / "me.lvck"
+    save_checkpoint(p, checkpoint_of(model, 0, moments["m"], moments["v"]))
+    with pytest.raises(FormatError, match=rf"me\.lvck:{which}:{name}: moment extents"):
+        load_checkpoint(p)
+
+
+def test_restored_models_share_no_array(tmp_path):
+    model = Model(CFG, "full", 5)
+    _, ckpt = roundtrip(checkpoint_of(model, 1, _moments(model, 1), _moments(model, 2)),
+                        tmp_path)
+    saved = [arr.copy() for _, arr in ckpt.params]
+    a, b = model_from_checkpoint(ckpt), model_from_checkpoint(ckpt)
+    arrays = ([p.data for p in a.params.values()] + [p.data for p in b.params.values()]
+              + [arr for _, arr in ckpt.params])
+    for i, x in enumerate(arrays):
+        assert not any(np.shares_memory(x, y) for y in arrays[i + 1:])
+    for p in a.params.values():
+        p.data += 1.0
+    for (name, arr), want in zip(ckpt.params, saved):
+        assert np.array_equal(arr, want) and np.array_equal(b.params[name].data, want)
+    # a read moment is a fresh array too
+    m = ckpt.opt_m["feat.conv.weight"]
+    m += 1.0
+    assert not np.array_equal(ckpt.opt_m["feat.conv.weight"], m)
+
+
 def test_checkpoint_rejects_architecture_mismatch(tmp_path):
     ckpt = checkpoint_of(Model(CFG, "full", 0), 0)
     ckpt.params = ckpt.params[1:]  # drop one tensor

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lvfsr.numeric import Rng
-from lvfsr.resample import bicubic_resize
+from lvfsr.resample import _axis_taps, bicubic_resize
 
 
 def cubic_kernel(x, a=-0.5):
@@ -91,3 +91,57 @@ def test_overshoot_is_bounded():
     img[:, 4:, :] = 1.0
     out = bicubic_resize(img, 32, 32)
     assert out.min() > -0.2 and out.max() < 1.2
+
+
+def einsum_resize(img, out_h, out_w):
+    """The two-einsum formulation bicubic_resize had before its cached tap
+    plans and row blocks; those promise the same bytes, so results are
+    compared exactly."""
+    def taps(n_in, n_out):
+        src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+        base = np.floor(src).astype(np.int64)
+        offsets = np.arange(-1, 3)
+        idx = np.clip(base[:, None] + offsets[None, :], 0, n_in - 1)
+        a, ax = -0.5, np.abs((src - base)[:, None] - offsets[None, :])
+        ax2 = ax * ax
+        ax3 = ax2 * ax
+        near = (a + 2.0) * ax3 - (a + 3.0) * ax2 + 1.0
+        far = a * ax3 - 5.0 * a * ax2 + 8.0 * a * ax - 4.0 * a
+        return idx, np.where(ax <= 1.0, near, np.where(ax < 2.0, far, 0.0))
+
+    data = img.astype(np.float64)
+    ridx, rwts = taps(img.shape[1], out_h)
+    tmp = np.einsum("ckjw,kj->ckw", data[:, ridx, :], rwts)
+    cidx, cwts = taps(img.shape[2], out_w)
+    out = np.einsum("chkj,kj->chk", tmp[:, :, cidx], cwts)
+    return out.astype(img.dtype, copy=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,out", [
+    ((3, 8, 8), (128, 128)),    # x16 residual
+    ((3, 8, 8), (256, 256)),
+    ((3, 5, 5), (17, 17)),
+    ((3, 64, 64), (8, 8)),      # x8 degrade
+    ((3, 128, 128), (16, 16)),
+    ((3, 9, 7), (9, 7)),        # unit scale
+    ((1, 1, 1), (4, 4)),        # 1-pixel extents
+    ((2, 4, 4), (1, 1)),
+    ((1, 1, 6), (33, 1)),
+])
+def test_bit_identical_to_einsum_formulation(dtype, shape, out):
+    rng = np.random.default_rng(sum(shape) + sum(out))
+    for trial in range(3):
+        img = rng.uniform(-0.5, 1.5, shape).astype(dtype)
+        img[..., ::3] = 0.0
+        got, want = bicubic_resize(img, *out), einsum_resize(img, *out)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), trial
+
+
+def test_tap_plans_are_cached_and_read_only():
+    idx, wts = _axis_taps(8, 128)
+    assert _axis_taps(8, 128)[0] is idx
+    assert not idx.flags.writeable and not wts.flags.writeable
+    with pytest.raises(ValueError):
+        wts[0, 0] = 1.0

@@ -263,6 +263,67 @@ def test_attention_batch_axes_match_per_sample():
                                    rtol=0, atol=1e-12)
 
 
+def attention_reference(q, k, v, heads, g):
+    """scaled_dot_attention forward and gradients with the row max taken by
+    `max`, as the op computed it before its `fmax` reduction; the max is
+    exact, so results are compared byte for byte."""
+    def unbroadcast(x, shape):
+        if x.shape == shape:
+            return x
+        extra = x.ndim - len(shape)
+        if extra:
+            x = x.sum(axis=tuple(range(extra)))
+        axes = tuple(i for i, d in enumerate(shape) if d == 1 and x.shape[i] != 1)
+        return x.sum(axis=axes, keepdims=True) if axes else x
+
+    def head_axes(n):
+        return tuple(range(n)) + (n + 1, n, n + 2)
+
+    t, d = q.shape[-2:]
+    s, dv = k.shape[-2], v.shape[-1]
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    dh, dvh = d // heads, dv // heads
+    sc = 1.0 / math.sqrt(dh)
+    qh = q.reshape(q.shape[:-2] + (t, heads, dh)).transpose(head_axes(q.ndim - 2)) * sc
+    kh = k.reshape(k.shape[:-2] + (s, heads, dh)).transpose(head_axes(k.ndim - 2))
+    vh = v.reshape(v.shape[:-2] + (s, heads, dvh)).transpose(head_axes(v.ndim - 2))
+    a = qh @ kh.swapaxes(-1, -2)
+    np.subtract(a, a.max(axis=-1, keepdims=True), out=a)
+    np.exp(a, out=a)
+    np.divide(a, a.sum(axis=-1, keepdims=True), out=a)
+    hx = head_axes(len(lead))
+    out = (a @ vh).transpose(hx).reshape(lead + (t, dv))
+    gh = g.reshape(lead + (t, heads, dvh)).transpose(hx)
+    gv = a.swapaxes(-1, -2) @ gh
+    ga = gh @ vh.swapaxes(-1, -2)
+    gl = a * (ga - (ga * a).sum(axis=-1, keepdims=True))
+    gq = (gl @ kh) * sc
+    gk = gl.swapaxes(-1, -2) @ qh
+    return (out,
+            unbroadcast(gq.transpose(hx).reshape(lead + (t, d)), q.shape),
+            unbroadcast(gk.transpose(hx).reshape(lead + (s, d)), k.shape),
+            unbroadcast(gv.transpose(hx).reshape(lead + (s, dv)), v.shape))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shapes", [
+    ((5, 8), (7, 8), (7, 12)),                   # one token matrix each
+    ((4, 5, 8), (4, 7, 8), (4, 7, 12)),          # batched
+    ((2, 3, 5, 8), (3, 7, 8), (1, 7, 12)),       # broadcast leading axes
+    ((64, 32), (64, 32), (64, 32)),              # one block's self-attention
+], ids=["unbatched", "batched", "broadcast", "block"])
+def test_attention_bit_identical_to_max_reference(dtype, shapes):
+    rng = np.random.default_rng(len(shapes[0]))
+    q, k, v = (rng.standard_normal(sh).astype(dtype) * 3 for sh in shapes)
+    out = scaled_dot_attention(Tensor(q, requires_grad=True), Tensor(k, requires_grad=True),
+                               Tensor(v, requires_grad=True), heads=4)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    ref = attention_reference(q, k, v, 4, g)
+    got = (out.data,) + tuple(out._backward(g))
+    for name, r, x in zip(("out", "gq", "gk", "gv"), ref, got):
+        assert same_bytes(np.asarray(x), r), name
+
+
 def test_layer_norm_formula():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 9))
