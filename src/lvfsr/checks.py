@@ -13,9 +13,9 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from .fusion import (BRANCH_ORDER, _pixels, _unpixels, build_fusion_params,
+from .fusion import (BRANCH_ORDER, FusionParams, build_fusion_params,
                      fusion_branch, fusion_forward, fusion_merge)
-from .network import Model, NetworkConfig, _sub_forward
+from .network import Model, NetworkConfig
 from .numeric import (Rng, Tensor, add, concat, constant, conv2d, gelu,
                       global_avg_pool, grad_check, layer_norm, linear,
                       mean_abs, mean_all, mul, pixel_shuffle, reshape, scale,
@@ -24,7 +24,6 @@ from .numeric import (Rng, Tensor, add, concat, constant, conv2d, gelu,
 from .numeric.tensor import parameter
 from .params import ParamStore
 from .priors import synth_priors
-from .resample import bicubic_resize
 from .training import degrade
 
 TOLERANCE = 1e-4
@@ -33,15 +32,10 @@ DESK_FUSION = dict(c=8, h=4, w=4, t=2, d_c=16, d_d=16, heads=2)
 DESK_NETWORK = NetworkConfig(l=2, c=8, heads=4, r=8, d_c=16, d_d=16, k=4, h=8, w=8)
 NETWORK_BATCH = 16   # finite-difference points stacked per batched evaluation
 CHECK_WORKERS = 2    # processes sharing the finite differences of network
-_STEPS = ("branches", "fuse", "sub0", "sub1", "out")
 
 
 def _stack(ts: List[Tensor]) -> Tensor:
     return constant(np.stack([t.data for t in ts]))
-
-
-def _tile(t: Tensor, n: int) -> Tensor:
-    return constant(np.broadcast_to(t.data, (n,) + t.shape))
 
 
 def _probe(rng: Rng) -> Callable[[Tensor], Tensor]:
@@ -188,15 +182,15 @@ def fusion_builder(seed: int):
 def network_builder(seed: int):
     """End-to-end desk network: degrade -> forward -> probe loss.
 
-    The forward takes grad_check's `points` for one named parameter. Each
-    point re-evaluates only the stage that holds the parameter (the entry
-    convs, one fusion branch, the fuse projection, one transformer sub-block
-    or recon) from activations cached at the base point. The stage outputs of
-    up to NETWORK_BATCH points are then stacked on a batch axis, and every
-    later stage runs once for the whole stack. Caches refresh only on
-    base-point calls. One-time comparisons against the plain Model.forward
-    pin the staged base evaluation exactly, and the batched evaluation of
-    every stage kind to float rounding.
+    The forward runs `Model.stages()`. A base call (no points) records each
+    stage's input and the context. Given grad_check's `points` for one named
+    parameter, each point re-runs only the stage that owns it, found by its
+    name prefix; in a fusion stage only the parameter's own branch re-runs,
+    merged with the other branches' base outputs. The stage outputs of up to
+    NETWORK_BATCH points are stacked on a batch axis, and the rest of the
+    list runs once for the whole stack. One-time comparisons against
+    Model.forward pin the base evaluation exactly, and the batched
+    evaluation of every stage part and prior encoder to float rounding.
     """
     cfg = DESK_NETWORK
     model = Model(cfg, "full", seed)
@@ -205,119 +199,79 @@ def network_builder(seed: int):
     for name, p in model.params.items():
         if name.endswith(".fuse.weight"):
             p.data = rr.stream(name).uniform(p.data.shape, -0.2, 0.2)
-    hr_size = cfg.h * cfg.r
-    hr = rr.stream("hr").uniform((3, hr_size, hr_size), 0.0, 1.0)
+    hr = rr.stream("hr").uniform((3, cfg.h * cfg.r, cfg.w * cfg.r), 0.0, 1.0)
     lr_img = degrade(hr.astype(np.float32), cfg.r)
     bundle = synth_priors(hr, lr_img, seed, informative=True, image_id="check",
                           d_c=cfg.d_c, d_d=cfg.d_d, tokens=2, k=cfg.k)
     probe = _probe(Rng(seed))
-    lr = constant(lr_img.astype(np.float64))
-    residual = constant(bicubic_resize(lr.data, hr_size, hr_size))
+    stages = model.stages()
+    # base point: each stage's input, the context the entry stage filled in,
+    # and each fusion stage's branch outputs by stage index
+    xs: List[Tensor] = []
+    base_ctx: Dict = {}
+    branches: Dict[int, List[Tensor]] = {}
 
-    # base-point activations per block: "ent" (x, inputs), "br" branch
-    # outputs, "tok0"/"tok1" the tokens entering each transformer sub-block
-    cache: List[dict] = [{} for _ in range(cfg.l)]
-    recon_in: List[Tensor] = []
-
-    def stage_of(name: str) -> Tuple[int, str]:
-        if name.startswith("block"):
-            blk, rest = name.split(".", 1)
-            return int(blk[5:]), rest.split(".")[1]
-        if name.startswith("recon."):
-            return cfg.l, "recon"
-        return -1, "entry"
-
-    def recon(x):
-        y = conv2d(x, model.recon_w, model.recon_b, stride=1, pad=1)
-        return add(pixel_shuffle(y, cfg.r), residual)
-
-    def run(i, step, x=None, inputs=None, outs=None, toks=None, record=False):
-        """Finish the network from `step` of block i; single or stacked."""
-        k = _STEPS.index(step)
-        while i < cfg.l:
-            bp, bc = model.blocks[i], cache[i]
-            if k == 0:
-                outs = [fusion_branch(b, x, inputs, bp.fusion) for b in BRANCH_ORDER]
-                if record:
-                    bc.update(ent=(x, inputs), br=outs)
-            if k <= 1:
-                toks = _pixels(fusion_merge(x, outs, bp.fusion))
-                if record:
-                    bc["tok0"] = toks
-            if k <= 2:
-                toks = _sub_forward(toks, bp.subs[0], cfg.heads)
-                if record:
-                    bc["tok1"] = toks
-            if k <= 3:
-                toks = _sub_forward(toks, bp.subs[1], cfg.heads)
-            x, i, k = _unpixels(toks, cfg.h, cfg.w), i + 1, 0
-        if record:
-            recon_in[:] = [x]
-        return recon(x)
-
-    def stage(i, part):
-        """The output of the stage holding a perturbed parameter."""
-        if part == "entry":
-            inputs = model.prior_inputs(bundle)
-            x = conv2d(lr, model.feat_w, model.feat_b, stride=1, pad=1)
-            return x, inputs["seg"], inputs["dep"]
-        if part == "recon":
-            return recon(recon_in[0])
-        bp, bc = model.blocks[i], cache[i]
-        x, inputs = bc["ent"]
-        if part in BRANCH_ORDER:
-            return fusion_branch(part, x, inputs, bp.fusion)
-        if part == "fuse":
-            return _pixels(fusion_merge(x, bc["br"], bp.fusion))
-        if part == "t0":
-            return _sub_forward(bc["tok0"], bp.subs[0], cfg.heads)
-        return _sub_forward(bc["tok1"], bp.subs[1], cfg.heads)
-
-    def finish(i, part, staged):
-        """Images for stacked stage outputs, running every later stage once."""
-        n = len(staged)
-        if part == "recon":
-            return [y.data for y in staged]
-        if part == "entry":
-            _, inputs = cache[0]["ent"]
-            inputs = dict(inputs, seg=_stack([s[1] for s in staged]),
-                          dep=_stack([s[2] for s in staged]))
-            return run(0, "branches", _stack([s[0] for s in staged]), inputs).data
-        x, inputs = cache[i]["ent"]
-        inputs = dict(inputs, seg=_tile(inputs["seg"], n), dep=_tile(inputs["dep"], n))
-        if part in BRANCH_ORDER:
-            outs = [_stack(staged) if b == part else _tile(o, n)
-                    for b, o in zip(BRANCH_ORDER, cache[i]["br"])]
-            return run(i, "fuse", _tile(x, n), inputs, outs=outs).data
-        step = {"fuse": "sub0", "t0": "sub1", "t1": "out"}[part]
-        return run(i, step, inputs=inputs, toks=_stack(staged)).data
+    def owner(name: str) -> Tuple[int, str]:
+        """The owning stage's index and the name's first part below it."""
+        k = next((k for k, st in enumerate(stages)
+                  if name.startswith(st.name + ".")), 0)
+        below = name[len(stages[k].name) + 1:] if k else name
+        return k, below.split(".")[0]
 
     def evaluate(name, points):
-        i, part = stage_of(name)
+        k, part = owner(name)
+        st, x0 = stages[k], xs[k]
         flat = model.params[name].data.reshape(-1)
         losses = []
         for lo in range(0, len(points), NETWORK_BATCH):
-            staged = []
+            outs, ctxs = [], []
             for idx, value in points[lo:lo + NETWORK_BATCH]:
                 orig = flat[idx]
                 flat[idx] = value
-                staged.append(stage(i, part))
+                ctx = dict(base_ctx)  # the entry stage rewrites the priors
+                if k in branches:
+                    outs.append(fusion_merge(x0, [
+                        fusion_branch(b, x0, ctx, st.params) if b == part else o
+                        for b, o in zip(st.params.enabled(), branches[k])], st.params))
+                else:
+                    outs.append(st.run(x0, ctx))
+                ctxs.append(ctx)
                 flat[idx] = orig
-            losses += [float(probe(constant(y)).data) for y in finish(i, part, staged)]
+            images = [y.data for y in outs]
+            if k + 1 < len(stages):  # the rest of the list, once for the stack
+                # per-pixel priors (the feature's extents) follow the batch axis
+                stacked = {key: _stack([c[key] for c in ctxs])
+                           if isinstance(v, Tensor) and v.shape == xs[1].shape else v
+                           for key, v in base_ctx.items()}
+                x = _stack(outs)
+                for later in stages[k + 1:]:
+                    x = later.run(x, stacked)
+                images = x.data
+            losses += [float(probe(constant(y)).data) for y in images]
         return losses
 
     def forward(changed=None, points=None):
         if points is not None:
             return evaluate(changed, points)
-        x = conv2d(lr, model.feat_w, model.feat_b, stride=1, pad=1)
-        return probe(run(0, "branches", x, model.prior_inputs(bundle), record=True))
+        x, ctx = model.start(lr_img, bundle)
+        xs.clear()
+        branches.clear()
+        for k, st in enumerate(stages):
+            xs.append(x)
+            if isinstance(st.params, FusionParams):
+                branches[k] = [fusion_branch(b, x, ctx, st.params)
+                               for b in st.params.enabled()]
+            x = st.run(x, ctx)
+        base_ctx.clear()
+        base_ctx.update(ctx)
+        return probe(x)
 
     ref = probe(model.forward(lr_img, bundle))
     if not np.array_equal(ref.data, forward().data):
         raise RuntimeError("staged forward diverged from Model.forward")
-    kinds = {}  # one parameter per stage, and per prior encoder
+    kinds = {}  # one parameter per stage part, and per prior encoder
     for name in model.params:
-        kinds.setdefault((stage_of(name), name.split(".")[0]), name)
+        kinds.setdefault(owner(name), name)
     for name in kinds.values():
         flat = model.params[name].data.reshape(-1)
         base = flat[0]

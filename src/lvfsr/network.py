@@ -11,14 +11,16 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import (Callable, Dict, Iterator, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ShapeError
-from .fusion import (AttnProj, BRANCH_ORDER, ConcatFusion, FusionParams,
-                     _pixels, _unpixels, build_concat_fusion,
-                     build_fusion_params, concat_fusion_forward, fusion_forward)
+from .fusion import (AttnProj, BRANCH_ORDER, FusionParams, _pixels, _unpixels,
+                     build_concat_fusion, build_fusion_params,
+                     concat_fusion_forward, fusion_forward)
 from .numeric import (Tensor, add, constant, conv2d, gelu, layer_norm, linear,
                       pixel_shuffle, scaled_dot_attention, tensor_bytes)
 from .numeric.tenio import (atomic_write, tensor_extents, tensor_from_bytes,
@@ -132,6 +134,15 @@ def basic_block(feat: Tensor, bp: BlockParams, heads: int) -> Tensor:
     return _unpixels(toks, *feat.shape[-2:])
 
 
+class Stage(NamedTuple):
+    """One step of the forward: `run(x, context)` returns the next x. `name`
+    prefixes every parameter the stage owns (the entry stage owns the rest);
+    `params` is the parameter group it reads, if any."""
+    name: str
+    run: Callable[[Tensor, Dict], Tensor]
+    params: object = None
+
+
 class Model:
     """A built network: config, variant, and every named parameter.
 
@@ -192,16 +203,13 @@ class Model:
     def param_count(self) -> int:
         return self.store.count()
 
-    def _dtype(self):
-        return self.feat_w.data.dtype
-
     def cast(self, dtype) -> None:
         """Switch every parameter to `dtype` in place (float64 for checking)."""
         for p in self.params.values():
             p.data = p.data.astype(dtype)
 
     def prior_inputs(self, bundle: PriorBundle) -> Dict[str, Tensor]:
-        cfg, dt = self.config, self._dtype()
+        cfg, dt = self.config, self.feat_w.data.dtype
         inputs: Dict[str, Tensor] = {}
         branches = self._branches()
         if "seg" in branches:
@@ -220,30 +228,49 @@ class Model:
             inputs["des"] = constant(bundle.description.tokens.astype(dt))
         return inputs
 
-    def forward(self, lr_img: np.ndarray, bundle: Optional[PriorBundle]) -> Tensor:
+    def start(self, lr_img: np.ndarray, bundle: Optional[PriorBundle]) -> Tuple[Tensor, Dict]:
+        """The entry stage's input and a fresh context for one image."""
         cfg = self.config
         lr = np.asarray(lr_img)
         if lr.shape != (3, cfg.h, cfg.w):
             raise ShapeError(f"LR image shape {lr.shape} != configured (3, {cfg.h}, {cfg.w})")
-        dt = self._dtype()
-        if self.variant == "model1_no_prior":
-            inputs: Dict[str, Tensor] = {}
-        else:
+        if self.variant != "model1_no_prior":
             if bundle is None:
                 raise DataError(f"variant '{self.variant}' requires a prior bundle")
             bundle.check_lr_extents(cfg.h, cfg.w)
-            inputs = self.prior_inputs(bundle)
+        return constant(lr.astype(self.feat_w.data.dtype)), {"lr": lr, "bundle": bundle}
 
-        x = conv2d(constant(lr.astype(dt)), self.feat_w, self.feat_b, stride=1, pad=1)
-        for bp in self.blocks:
-            if isinstance(bp.fusion, FusionParams):
-                x = fusion_forward(x, inputs, bp.fusion)
-            elif isinstance(bp.fusion, ConcatFusion):
-                x = concat_fusion_forward(x, inputs, bp.fusion)
-            x = basic_block(x, bp, cfg.heads)
+    def stages(self) -> List[Stage]:
+        """The forward in order: entry (writes the encoded priors, keyed by
+        branch, and the bicubic base into the context), then per block a
+        fusion stage (none in model1) and a body stage, then recon. Built
+        per call, so a stage function rebound by name (a per-layer timer) is
+        seen by models built before."""
+        out = [Stage("entry", self._entry)]
+        for i, bp in enumerate(self.blocks):
+            if bp.fusion is not None:
+                fuse = (fusion_forward if isinstance(bp.fusion, FusionParams)
+                        else concat_fusion_forward)
+                out.append(Stage(f"block{i}.fusion", partial(fuse, p=bp.fusion), bp.fusion))
+            out.append(Stage(f"block{i}.body", lambda x, _, bp=bp:
+                             basic_block(x, bp, self.config.heads), bp))
+        out.append(Stage("recon", self._recon))
+        return out
+
+    def forward(self, lr_img: np.ndarray, bundle: Optional[PriorBundle]) -> Tensor:
+        x, context = self.start(lr_img, bundle)
+        for stage in self.stages():
+            x = stage.run(x, context)
+        return x
+
+    def _entry(self, x: Tensor, context: Dict) -> Tensor:
+        context.update(self.prior_inputs(context["bundle"]))
+        context["base"] = constant(self._residual(context["lr"], x.data.dtype))
+        return conv2d(x, self.feat_w, self.feat_b, stride=1, pad=1)
+
+    def _recon(self, x: Tensor, context: Dict) -> Tensor:
         x = conv2d(x, self.recon_w, self.recon_b, stride=1, pad=1)
-        x = pixel_shuffle(x, cfg.r)
-        return add(x, constant(self._residual(lr, dt)))
+        return add(pixel_shuffle(x, self.config.r), context["base"])
 
     def _residual(self, lr: np.ndarray, dt) -> np.ndarray:
         """Bicubic-upsampled LR (constant per image); memoized."""

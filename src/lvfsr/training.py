@@ -9,23 +9,22 @@ sidecar file that makes no determinism promise.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .network import (Checkpoint, Model, NetworkConfig, checkpoint_of,
+from .network import (VARIANTS, Checkpoint, Model, NetworkConfig, checkpoint_of,
                       load_checkpoint, model_from_checkpoint, save_checkpoint)
 from .numeric import (AdamHyper, AdamState, Rng, Tensor, adam_step, add,
                       backward, constant, mean_abs, scale, sub, zero_grads)
 from .priors import PriorBundle, load_prior_bundle, read_ppm
 from .resample import bicubic_resize
-
-__all__ = ["TrainConfig", "bicubic_resize", "l1_loss", "train_step",
-           "run_training", "load_dataset", "Dataset", "load_train_config"]
 
 
 @dataclass
@@ -54,16 +53,35 @@ class TrainConfig:
     network: NetworkFields = field(default_factory=NetworkFields)
 
     def validate(self) -> "TrainConfig":
+        _check_types(self, "config")
+        _check_types(self.network, "config.network")
         for name in ("lr", "beta1", "beta2", "eps", "epochs", "batch",
                      "checkpoint_interval"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"config field '{name}' must be positive")
-        if self.scale not in (8, 16):
-            raise ConfigError(f"scale must be 8 or 16, got {self.scale}")
+        if not 0 <= self.seed < 2 ** 64:  # a checkpoint stores it as a u64
+            raise ConfigError(f"config field 'seed' must be in [0, 2^64), got {self.seed}")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant '{self.variant}', expected one of {VARIANTS}")
+        network_config_for(self, 1, 1)  # scale and network fields, by NetworkConfig's rules
         return self
 
     def hyper(self) -> AdamHyper:
         return AdamHyper(self.lr, self.beta1, self.beta2, self.eps)
+
+
+# keyed by field annotation, a string under `from __future__ import annotations`
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a finite number"),
+          "str": (str, "a string"), "NetworkFields": (NetworkFields, "an object")}
+
+
+def _check_types(obj, context: str) -> None:
+    for f in fields(obj):
+        kind, want = _KINDS[f.type]
+        v = getattr(obj, f.name)
+        if (not isinstance(v, kind) or isinstance(v, bool)
+                or (kind is numbers.Real and not math.isfinite(v))):
+            raise ConfigError(f"{context} field '{f.name}' must be {want}, got {v!r}")
 
 
 def _from_fields(cls, d: dict, context: str):

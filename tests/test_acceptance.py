@@ -38,6 +38,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 # --- gate 1: gradient suite ---------------------------------------------------
 
+@pytest.mark.slow
 def test_gradient_suite():
     t0 = time.perf_counter()
     worst_name, worst = "", 0.0
@@ -238,6 +239,7 @@ def test_identity_at_init():
 
 # --- gate 4: overfit ----------------------------------------------------------
 
+@pytest.mark.slow
 def test_overfit_beats_bicubic(tmp_path):
     t0 = time.perf_counter()
     data = tmp_path / "data"
@@ -267,6 +269,7 @@ def test_overfit_beats_bicubic(tmp_path):
 
 # --- gate 5: prior-utility ablation ---------------------------------------
 
+@pytest.mark.slow
 def test_prior_utility_ablation(tmp_path):
     t0 = time.perf_counter()
     rows = run_ablation(("model1_no_prior", "drop_ED", "full"),

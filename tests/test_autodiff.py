@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from lvfsr.checks import fusion_builder, op_builders
+from lvfsr.checks import fusion_builder, network_builder, op_builders
 from lvfsr.errors import GraphError, NonFiniteError
 from lvfsr.numeric import (AdamHyper, AdamState, Tensor, adam_step, add,
                            backward, grad_check, mean_all, mul,
@@ -270,6 +270,19 @@ def test_fusion_builder_staged_losses_equal_plain_bytes():
     entries = sum(t.data.size for t in fusion_builder(0)[0].values())
     assert len(staged) == 2 * entries + 2
     assert staged == plain
+
+
+def test_network_builder_resumes_from_model_stages():
+    # building runs the exact and batched comparisons against Model.forward
+    params, forward = network_builder(0)
+    base = float(forward().data)
+    for name in ("feat.conv.weight", "mask_enc.conv.bias", "block0.fusion.des.s1.q.weight",
+                 "block0.fusion.fuse.weight", "block1.body.t1.mlp.fc2.bias",
+                 "recon.conv.weight"):
+        value = params[name].data.reshape(-1)[0]
+        # a point at the base value re-runs the owning stage and the rest
+        assert forward(changed=name, points=[(0, value)] * 3) == pytest.approx(
+            [base] * 3, rel=1e-12, abs=1e-15), name
 
 
 def test_grad_check_workers_agree_and_report_failures():

@@ -63,3 +63,9 @@ def test_traced_forward_counts_per_image_calls():
     # 3 blocks x (description 2 + transformer pair 2)
     assert calls["ops.scaled_dot_attention.fwd"] == 12
     assert calls["network.forward"] == 1
+    # the per-layer timers see every stage of the forward, once per block
+    assert calls["fusion.forward"] == 3
+    assert calls["network.basic_block"] == 3
+    for branch in ("seg", "dep", "cap", "des"):
+        assert calls[f"fusion.{branch}"] == 3, branch
+    assert calls["network.prior_inputs"] == 1

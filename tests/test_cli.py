@@ -125,6 +125,21 @@ def test_train_bad_config_errors(dataset, tmp_path, capsys):
     assert err.startswith("error: ConfigError:")
 
 
+@pytest.mark.parametrize("over,argv", [
+    ({"lr": "abc"}, ()), ({"data_root": 5}, ()), ({"network": {"l": "x"}}, ()),
+    ({"epochs": 1.5}, ()), ({"batch": True, "epochs": True}, ()),
+    ({"seed": -1}, ()), ({}, ("--seed", "-5"))])
+def test_train_malformed_config_is_one_error_line(dataset, tmp_path, capsys, over, argv):
+    cfg = small_train_cfg(tmp_path, dataset, **over)
+    run_dir = tmp_path / "o"
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg),
+                           "--out", str(run_dir), *argv)
+    assert code == 1
+    assert err.startswith("error: ConfigError:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not run_dir.exists()  # refused before any training output
+
+
 def test_infer_without_priors_requires_no_prior_variant(dataset, tmp_path, capsys):
     cfg = small_train_cfg(tmp_path, dataset)
     run_dir = tmp_path / "run"

@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 
 from lvfsr.errors import ConfigError, DataError, FormatError, ShapeError
+from lvfsr.fusion import (ConcatFusion, FusionParams, concat_fusion_forward,
+                          fusion_forward)
 from lvfsr.network import (Checkpoint, Model, NetworkConfig, VARIANTS,
-                           checkpoint_bytes, checkpoint_of, load_checkpoint,
-                           model_from_checkpoint, save_checkpoint)
-from lvfsr.numeric import Rng
+                           basic_block, checkpoint_bytes, checkpoint_of,
+                           load_checkpoint, model_from_checkpoint,
+                           save_checkpoint)
+from lvfsr.numeric import (Rng, add, backward, constant, conv2d, mean_all,
+                           pixel_shuffle, zero_grads)
 from lvfsr.priors import synth_priors
+from lvfsr.resample import bicubic_resize
 
 CFG = NetworkConfig(l=2, c=8, heads=2, r=8, d_c=12, d_d=16, k=8, h=4, w=4)
 
@@ -125,6 +130,57 @@ def test_residual_is_memoized_and_correct():
     assert len(model._residual_cache) == 1
     model.forward(img, None)
     assert len(model._residual_cache) == 1
+
+
+def spelled_out(model, img, bundle):
+    """The network written out op by op, as one hand-ordered pipeline."""
+    cfg, dt = model.config, model.feat_w.data.dtype
+    inputs = model.prior_inputs(bundle) if bundle is not None else {}
+    x = conv2d(constant(img.astype(dt)), model.feat_w, model.feat_b, stride=1, pad=1)
+    for bp in model.blocks:
+        if isinstance(bp.fusion, FusionParams):
+            x = fusion_forward(x, inputs, bp.fusion)
+        elif isinstance(bp.fusion, ConcatFusion):
+            x = concat_fusion_forward(x, inputs, bp.fusion)
+        x = basic_block(x, bp, cfg.heads)
+    x = pixel_shuffle(conv2d(x, model.recon_w, model.recon_b, stride=1, pad=1), cfg.r)
+    base = bicubic_resize(img.astype(np.promote_types(img.dtype, dt)),
+                          cfg.h * cfg.r, cfg.w * cfg.r).astype(dt)
+    return add(x, constant(base))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stage_list_composes_to_forward_bytes(variant, dtype):
+    model = Model(CFG, variant, 3)
+    model.cast(dtype)
+    rng = Rng(9)
+    for name, p in model.params.items():  # open the zero-initialised fusion
+        if ".fuse." in name:
+            p.data = rng.stream(name).uniform(p.data.shape, -0.2, 0.2).astype(dtype)
+    img = lr_image(2)
+    bundle = None if variant == "model1_no_prior" else bundle_for(2)
+    stages = model.stages()
+    names = [st.name for st in stages]
+    assert names[0] == "entry" and names[-1] == "recon"
+    assert len(names) == 2 + CFG.l * (1 if variant == "model1_no_prior" else 2)
+    for name in model.params:  # each parameter has one owner, found by prefix
+        owners = [n for n in names if name.startswith(n + ".")]
+        assert owners or name.split(".")[0] in ("feat", "mask_enc", "depth_enc")
+        assert len(owners) <= 1, name
+    x, context = model.start(img, bundle)
+    for st in stages:
+        x = st.run(x, context)
+    out, ref = model.forward(img, bundle), spelled_out(model, img, bundle)
+    assert out.data.dtype == dtype
+    assert out.data.tobytes() == ref.data.tobytes() == x.data.tobytes()
+    # same ops in the same order: the gradients agree to the byte as well
+    grads = backward(mean_all(out))
+    zero_grads(model.params)
+    want = backward(mean_all(ref))
+    assert grads.keys() == want.keys() == model.params.keys()
+    for name, g in grads.items():
+        assert g.data.tobytes() == want[name].data.tobytes(), name
 
 
 # --- variants ----------------------------------------------------------------

@@ -73,6 +73,23 @@ def test_config_bounds():
         TrainConfig(epochs=-1).validate()
     with pytest.raises(ConfigError, match="scale"):
         TrainConfig(scale=3).validate()
+    # malformed fields fail at load, before any training starts
+    for raw, match in [({"lr": "abc"}, "'lr' must be a finite number"),
+                       ({"lr": float("nan")}, "'lr' must be a finite number"),
+                       ({"data_root": 5}, "'data_root' must be a string"),
+                       ({"network": {"l": "x"}}, "'l' must be an integer"),
+                       ({"network": {"c": 10, "heads": 4}}, "divisible"),
+                       ({"epochs": 1.5}, "'epochs' must be an integer"),
+                       ({"batch": True}, "'batch' must be an integer"),
+                       ({"epochs": True}, "'epochs' must be an integer"),
+                       ({"variant": "model3"}, "unknown variant"),
+                       ({"seed": -1}, "'seed' must be in"),
+                       ({"seed": 2 ** 64}, "'seed' must be in")]:
+        with pytest.raises(ConfigError, match=match):
+            train_config_from_dict(raw)
+    assert train_config_from_dict({"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
+    with pytest.raises(ConfigError, match="'seed' must be in"):
+        TrainConfig(seed=-5).validate()  # as after the CLI's --seed override
 
 
 # --- pieces -------------------------------------------------------------
