@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 
+from .errors import ConfigError
 from .numeric import Rng, atomic_write
 from .priors import save_prior_bundle, synth_priors, write_ppm
 from .resample import bicubic_resize
@@ -88,6 +89,10 @@ def generate_dataset(out_root, count: int, hr_size: int, scale: int, seed: int,
     Stored pixels are 8-bit; priors are derived from the quantized image so
     everything downstream sees a single consistent source.
     """
+    if count < 1:
+        raise ConfigError(f"image count must be at least 1, got {count}")
+    if scale < 1 or hr_size < scale or hr_size % scale:
+        raise ConfigError(f"scale {scale} must divide the HR size {hr_size}")
     root = os.fspath(out_root)
     base = Rng(seed)
     for split in splits:

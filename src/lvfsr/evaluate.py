@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .network import VARIANTS
 from .numeric import atomic_write
 from .priors import luminance, read_ppm
@@ -42,18 +42,47 @@ def _gauss_taps(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-@functools.lru_cache(maxsize=32)
-def _band(extent: int, window: int, sigma: float) -> np.ndarray:
-    """Read-only (valid, extent) matrix whose row i holds the Gaussian taps
-    at columns i..i+window-1."""
+# output rows (then columns) that one band product forms
+_BLOCK = 24
+
+
+@functools.lru_cache(maxsize=8)
+def _band_block(window: int, sigma: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The (_BLOCK, _BLOCK + window - 1) block whose row i holds the Gaussian
+    taps at columns i..i+window-1, and its contiguous transpose, read-only.
+
+    The banded (valid, extent) matrix of a windowed mean is this block
+    repeated down its diagonal, so every block of output rows needs only
+    the _BLOCK + window - 1 input rows it touches.
+    """
     taps = _gauss_taps(window, sigma)
-    valid = extent - window + 1
-    band = np.zeros((valid, extent))
-    i = np.arange(valid)
+    band = np.zeros((_BLOCK, _BLOCK + window - 1))
+    i = np.arange(_BLOCK)
     for j, t in enumerate(taps):
         band[i, i + j] = t
-    band.flags.writeable = False
-    return band
+    band_t = np.ascontiguousarray(band.T)
+    band.flags.writeable = band_t.flags.writeable = False
+    return band, band_t
+
+
+def _windowed_means(maps: np.ndarray, window: int, sigma: float) -> np.ndarray:
+    """Gaussian-windowed means of each (H, W) plane of `maps` over valid
+    positions: a row pass, then a column pass, of block-banded products."""
+    band, band_t = _band_block(window, sigma)
+    p, h, w = maps.shape
+    vh, vw = h - window + 1, w - window + 1
+    rows = np.empty((p, vh, w))
+    for r0 in range(0, vh, _BLOCK):
+        b = min(_BLOCK, vh - r0)
+        np.matmul(band[:b, :b + window - 1], maps[:, r0:r0 + b + window - 1],
+                  out=rows[:, r0:r0 + b])
+    rows = rows.reshape(p * vh, w)
+    out = np.empty((p * vh, vw))
+    for c0 in range(0, vw, _BLOCK):
+        b = min(_BLOCK, vw - c0)
+        np.matmul(rows[:, c0:c0 + b + window - 1], band_t[:b + window - 1, :b],
+                  out=out[:, c0:c0 + b])
+    return out.reshape(p, vh, vw)
 
 
 def ssim(a: np.ndarray, b: np.ndarray, window: int = 11, sigma: float = 1.5,
@@ -64,17 +93,16 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 11, sigma: float = 1.5,
     y = luminance(np.asarray(b, dtype=np.float64))
     if x.shape[0] < window or x.shape[1] < window:
         raise ShapeError(f"image {x.shape} smaller than the {window}x{window} window")
-    # the Gaussian window is separable: a windowed mean over valid positions
-    # is rows @ img @ cols with banded 1-D tap matrices
-    rows, cols = _band(x.shape[0], window, sigma), _band(x.shape[1], window, sigma).T
-
-    def wmean(img):
-        return rows @ img @ cols
-
-    mx, my = wmean(x), wmean(y)
-    sxx = wmean(x * x) - mx * mx
-    syy = wmean(y * y) - my * my
-    sxy = wmean(x * y) - mx * my
+    # the Gaussian window is separable, so all five means take two passes
+    maps = np.empty((5,) + x.shape)
+    maps[0], maps[1] = x, y
+    np.multiply(x, x, out=maps[2])
+    np.multiply(y, y, out=maps[3])
+    np.multiply(x, y, out=maps[4])
+    mx, my, wxx, wyy, wxy = _windowed_means(maps, window, sigma)
+    sxx = wxx - mx * mx
+    syy = wyy - my * my
+    sxy = wxy - mx * my
     c1 = (k1 * max_val) ** 2
     c2 = (k2 * max_val) ** 2
     num = (2.0 * mx * my + c1) * (2.0 * sxy + c2)
@@ -243,6 +271,10 @@ def run_ablation(variants: Sequence[str], spec: AblationSpec, work_dir,
     for tag in variants:
         if tag not in VARIANTS:
             raise DataError(f"unknown ablation tag '{tag}', expected one of {VARIANTS}")
+    if spec.steps < 1:
+        raise ConfigError(f"ablation steps must be at least 1, got {spec.steps}")
+    if not spec.seeds:
+        raise ConfigError("ablation needs at least one seed")
     work = os.fspath(work_dir)
     spe = spec.count // spec.batch
     if spe < 1:

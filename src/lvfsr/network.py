@@ -9,6 +9,7 @@ fusion is the identity), `model2_concat` (concat + 1x1 conv fusion), and
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -75,14 +76,12 @@ class NetworkConfig:
         missing = known - set(d)
         if missing:
             raise ConfigError(f"missing network config keys: {sorted(missing)}")
-        values = {}
         for k, v in d.items():
-            try:
-                values[k] = int(v)
-            except (TypeError, ValueError):
+            # bool is an int subclass; a float or string is not coerced
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
                 raise ConfigError(f"network config key '{k}' must be an integer, "
-                                  f"got {v!r}") from None
-        return cls(**values).validate()
+                                  f"got {v!r}")
+        return cls(**{k: int(v) for k, v in d.items()}).validate()
 
 
 @dataclass
@@ -359,50 +358,56 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     atomic_write(path, checkpoint_bytes(ckpt))
 
 
-class _Reader:
-    """Reads a checkpoint buffer front to back; blobs are views into it."""
+_U32 = struct.Struct("<I")
 
-    def __init__(self, buf: bytes, context: str):
-        self.buf, self.pos, self.context = memoryview(buf), 0, context
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.buf):
-            raise FormatError(f"{self.context}: truncated checkpoint")
-        chunk = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
+def _span(buf: bytes, pos: int, path) -> Tuple[int, int]:
+    """Start and end of the length-prefixed blob at `pos`."""
+    (size,) = _U32.unpack_from(buf, pos)
+    start = pos + 4
+    if start + size > len(buf):
+        raise FormatError(f"{path}: truncated checkpoint")
+    return start, start + size
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
 
-    def blob(self) -> memoryview:
-        return self.take(self.u32())
-
-    def text(self, what: str) -> str:
-        try:
-            return bytes(self.blob()).decode()
-        except UnicodeDecodeError:
-            raise FormatError(f"{self.context}: {what} is not UTF-8") from None
+def _text(buf: bytes, pos: int, path, what: str) -> Tuple[str, int]:
+    """The UTF-8 blob at `pos`, and the position after it."""
+    start, end = _span(buf, pos, path)
+    try:
+        return buf[start:end].decode(), end
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: {what} is not UTF-8") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read and check a checkpoint file, copying none of its floats.
 
     Parameters are read-only views of the file's bytes, which
-    `model_from_checkpoint` copies once. Every Adam moment's framing and
-    extents are checked here, but its floats are parsed only when `opt_m` or
-    `opt_v` is read, so an inference restore never copies them.
+    `model_from_checkpoint` copies once. Every Adam moment's framing is
+    checked here: its length and header (magic, rank, extents) must equal
+    its parameter's, which was checked in full. Its floats are parsed only
+    when `opt_m` or `opt_v` is read, so an inference restore never copies
+    them.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
-    rd = _Reader(buf, str(path))
-    if rd.take(4) != CKPT_MAGIC:
+    try:
+        return _parse_checkpoint(buf, path)
+    except struct.error:  # a fixed-size field runs past the end
+        raise FormatError(f"{path}: truncated checkpoint") from None
+
+
+def _parse_checkpoint(buf: bytes, path) -> Checkpoint:
+    if len(buf) < 4:
+        raise FormatError(f"{path}: truncated checkpoint")
+    if buf[:4] != CKPT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic")
-    version, seed, step = struct.unpack("<IQQ", rd.take(20))
+    version, seed, step = struct.unpack_from("<IQQ", buf, 4)
     if version != CKPT_VERSION:
         raise FormatError(f"{path}: checkpoint version {version}, expected {CKPT_VERSION}")
+    text, pos = _text(buf, 24, path, "config block")
     try:
-        head = json.loads(rd.text("config block"))
+        head = json.loads(text)
         if not isinstance(head, dict):
             raise ConfigError(f"header is a JSON {type(head).__name__}, not an object")
         config = NetworkConfig.from_dict(head["config"])
@@ -411,28 +416,43 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: malformed config block: {e}") from None
     if variant not in VARIANTS:
         raise FormatError(f"{path}: unknown variant '{variant}'")
-    n = rd.u32()
+    view = memoryview(buf)
+    (n,) = _U32.unpack_from(buf, pos)
+    pos += 4
     params: List[Tuple[str, np.ndarray]] = []
+    # each parameter blob's length word and header (magic, rank, extents),
+    # which its moments must repeat byte for byte
+    frames: List[bytes] = []
     seen = set()
     for _ in range(n):
-        name = rd.text("parameter name")
+        name, pos = _text(buf, pos, path, "parameter name")
         if name in seen:
             raise FormatError(f"{path}: duplicate parameter '{name}'")
         seen.add(name)
-        params.append((name, tensor_view(rd.blob(), context=f"{path}:{name}")))
+        start, end = _span(buf, pos, path)
+        arr = tensor_view(view[start:end], context=f"{path}:{name}")
+        params.append((name, arr))
+        frames.append(buf[pos:start + 8 + 4 * arr.ndim])
+        pos = end
     opt_m: Dict[str, memoryview] = {}
     opt_v: Dict[str, memoryview] = {}
-    if struct.unpack("<B", rd.take(1))[0]:
-        for name, arr in params:
+    (has_opt,) = struct.unpack_from("<B", buf, pos)
+    pos += 1
+    if has_opt:
+        for (name, arr), frame in zip(params, frames):
+            size = arr.nbytes + len(frame) - 4
             for which, moments in (("m", opt_m), ("v", opt_v)):
-                context = f"{path}:{which}:{name}"
-                moments[name] = rd.blob()
-                extents = tensor_extents(moments[name], context)
-                if extents != arr.shape:
+                start, end = pos + 4, pos + 4 + size
+                if not buf.startswith(frame, pos) or end > len(buf):
+                    start, end = _span(buf, pos, path)
+                    context = f"{path}:{which}:{name}"
+                    extents = tensor_extents(view[start:end], context)
                     raise FormatError(f"{context}: moment extents {extents} != "
                                       f"parameter extents {arr.shape}")
-    if rd.pos != len(buf):
-        raise FormatError(f"{path}: {len(buf) - rd.pos} trailing bytes")
+                moments[name] = view[start:end]
+                pos = end
+    if pos != len(buf):
+        raise FormatError(f"{path}: {len(buf) - pos} trailing bytes")
     return Checkpoint(config, variant, seed, step, params,
                       _Moments(opt_m, f"{path}:m"), _Moments(opt_v, f"{path}:v"))
 

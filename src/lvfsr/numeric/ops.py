@@ -277,7 +277,11 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
                 # in (i, j) order from +0.0, as a scatter-add over taps would
                 size = ho * wo * cin * kh * kw
                 gz = np.empty((n, size + 1), dtype=gmat.dtype)
-                gz[:, :size] = (gmat @ w.data.reshape(cout, -1)).reshape(n, size)
+                wmat = w.data.reshape(cout, -1)
+                # one output channel: each entry is one rounded product, so a
+                # broadcast multiply matches the K=1 GEMM up to the sign of a
+                # zero, which the sum from +0.0 below absorbs
+                gz[:, :size] = (gmat * wmat if cout == 1 else gmat @ wmat).reshape(n, size)
                 gz[:, size] = 0
                 gx = np.add.reduce(gz.take(taps, axis=1), axis=1, initial=0.0)
                 gx = gx[:, :chw].reshape(n, cin, h, wd_)

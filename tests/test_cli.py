@@ -192,3 +192,25 @@ def test_ablate_rejects_unknown_variant(capsys):
                            "--steps", "2", "--seeds", "1")
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--hr-size", "7"), ("--hr-size", "20"), ("--count", "0"), ("--count", "-1")])
+def test_synth_data_bad_size_or_count_is_one_error_line(tmp_path, capsys, argv):
+    out_dir = tmp_path / "d"
+    code, out, err = run_cli(capsys, "synth-data", "--out", str(out_dir), *argv)
+    assert code == 1
+    assert err.startswith("error: ConfigError:") and err.count("\n") == 1
+    assert "wrote" not in out
+    assert not out_dir.exists()  # refused before writing anything
+
+
+@pytest.mark.parametrize("argv", [("--seeds", "0"), ("--seeds", "-2"), ("--steps", "0")])
+def test_ablate_rejects_empty_run(capsys, argv):
+    args = {"--steps": "2", "--seeds": "1"}
+    args.update([argv])
+    code, out, err = run_cli(capsys, "ablate", "--variants", "full",
+                             *[x for kv in args.items() for x in kv])
+    assert code == 1
+    assert err.startswith("error: ConfigError:") and err.count("\n") == 1
+    assert "variant\tseed" not in out

@@ -103,6 +103,39 @@ def test_ssim_matches_window_oracle():
         assert ssim(a, b) == pytest.approx(_window_oracle_ssim(a, b), abs=1e-6)
 
 
+def _dense_ssim(a, b, window=11, sigma=1.5):
+    """SSIM with each windowed mean as one dense product `rows @ img @ cols`
+    of full (valid, extent) band matrices."""
+    x, y = luminance(np.asarray(a, np.float64)), luminance(np.asarray(b, np.float64))
+
+    def band(extent):
+        g = np.exp(-((np.arange(window) - (window - 1) / 2) ** 2) / (2 * sigma * sigma))
+        g /= g.sum()
+        m = np.zeros((extent - window + 1, extent))
+        for i in range(m.shape[0]):
+            m[i, i:i + window] = g
+        return m
+
+    rows, cols = band(x.shape[0]), band(x.shape[1]).T
+    mx, my = rows @ x @ cols, rows @ y @ cols
+    sxx = rows @ (x * x) @ cols - mx * mx
+    syy = rows @ (y * y) @ cols - my * my
+    sxy = rows @ (x * y) @ cols - mx * my
+    c1, c2 = 0.01 ** 2, 0.03 ** 2
+    num = (2.0 * mx * my + c1) * (2.0 * sxy + c2)
+    den = (mx * mx + my * my + c1) * (sxx + syy + c2)
+    return float(np.mean(num / den))
+
+
+@pytest.mark.parametrize("h,w", [(11, 11), (37, 53), (128, 128), (256, 256)])
+def test_ssim_matches_dense_band_product(h, w):
+    # one block, a partial last block on each axis, the evaluation extent,
+    # and more blocks than a 128x128 image holds
+    a = img(20, h, w)
+    b = np.clip(a + Rng(21).uniform(a.shape, -0.2, 0.2), 0, 1)
+    assert ssim(a, b) == pytest.approx(_dense_ssim(a, b), rel=1e-12, abs=0)
+
+
 # --- reports -----------------------------------------------------------------
 
 def test_make_report_sorts_and_averages():

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lvfsr.errors import ConfigError, DataError, FormatError, ShapeError
 from lvfsr.fusion import (ConcatFusion, FusionParams, concat_fusion_forward,
@@ -14,7 +16,7 @@ from lvfsr.network import (Checkpoint, Model, NetworkConfig, VARIANTS,
                            load_checkpoint, model_from_checkpoint,
                            save_checkpoint)
 from lvfsr.numeric import (Rng, add, backward, constant, conv2d, mean_all,
-                           pixel_shuffle, zero_grads)
+                           pixel_shuffle, tensor_bytes, zero_grads)
 from lvfsr.priors import synth_priors
 from lvfsr.resample import bicubic_resize
 
@@ -290,12 +292,14 @@ def _with_header(buf: bytes, header: bytes) -> bytes:
 
 @pytest.mark.parametrize("header", [
     b'[{"config": {}, "variant": "full"}]',  # a list, not an object
-    None,                                      # a null config value
-], ids=["json-list", "null-config-value"])
+    {"c": None},                               # a null config value
+    {"l": True},                               # a bool is not an integer
+    {"c": 8.9},                                # nor is a fractional number
+], ids=["json-list", "null-config-value", "bool-config-value", "float-config-value"])
 def test_checkpoint_malformed_header_is_format_error(tmp_path, header):
     buf = checkpoint_bytes(checkpoint_of(Model(CFG, "full", 0), 0))
-    if header is None:
-        head = {"config": {**CFG.to_dict(), "c": None}, "variant": "full"}
+    if isinstance(header, dict):
+        head = {"config": {**CFG.to_dict(), **header}, "variant": "full"}
         header = json.dumps(head).encode()
     p = tmp_path / "h.lvck"
     p.write_bytes(_with_header(buf, header))
@@ -343,6 +347,80 @@ def test_checkpoint_moment_extents_checked_at_load(tmp_path, which):
     with pytest.raises(FormatError, match=rf"me\.lvck:{which}:{name}: moment extents"):
         load_checkpoint(p)
 
+
+@pytest.mark.parametrize("which", ["m", "v"])
+def test_checkpoint_moment_rank_checked_at_equal_length(tmp_path, which):
+    # (n - 1, 1) floats plus one more extent word fill exactly the bytes of
+    # an (n,) blob, so only the header tells the two apart
+    model = Model(CFG, "full", 0)
+    moments = {"m": _moments(model, 1), "v": _moments(model, 2)}
+    name = "block0.body.t0.ln1.beta"
+    (n,) = model.params[name].data.shape
+    moments[which][name] = moments[which][name][:n - 1, None]
+    assert (len(tensor_bytes(moments[which][name]))
+            == len(tensor_bytes(model.params[name].data)))
+    p = tmp_path / "mr.lvck"
+    save_checkpoint(p, checkpoint_of(model, 0, moments["m"], moments["v"]))
+    with pytest.raises(FormatError, match=rf"mr\.lvck:{which}:{name}: moment extents "
+                                          rf"\({n - 1}, 1\) != parameter extents \({n},\)"):
+        load_checkpoint(p)
+
+
+def _fuzz_checkpoint():
+    """A small checkpoint with moments, and the offsets of its framing: the
+    fixed header, config block and name count, every parameter name blob and
+    every moment blob's length, magic, rank and extents."""
+    cfg = NetworkConfig(l=1, c=2, heads=1, r=8, d_c=2, d_d=2, k=2, h=1, w=1)
+    model = Model(cfg, "full", 0)
+    buf = checkpoint_bytes(checkpoint_of(model, 5, _moments(model, 1), _moments(model, 2)))
+    (head,) = struct.unpack_from("<I", buf, 24)
+    pos = 28 + head + 4
+    spots = list(range(pos))
+    for _ in model.params:
+        (size,) = struct.unpack_from("<I", buf, pos)
+        spots += range(pos, pos + 4 + size)
+        pos += 4 + size
+        (size,) = struct.unpack_from("<I", buf, pos)
+        pos += 4 + size
+    pos += 1  # the has-moments flag
+    while pos < len(buf):
+        size, _, rank = struct.unpack_from("<III", buf, pos)
+        spots += range(pos, pos + 12 + 4 * rank)
+        pos += 4 + size
+    return buf, spots
+
+
+_FUZZ_BUF, _FUZZ_SPOTS = _fuzz_checkpoint()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(cut=st.one_of(st.just(len(_FUZZ_BUF)), st.integers(0, len(_FUZZ_BUF) - 1)),
+       edits=st.lists(st.tuples(st.sampled_from(_FUZZ_SPOTS), st.integers(0, 255)),
+                      max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_checkpoint_fuzz_fails_typed_or_loads_its_bytes(fuzz_dir, cut, edits):
+    data = bytearray(_FUZZ_BUF)
+    for i, v in edits:
+        data[i] = v
+    data = bytes(data[:cut])
+    p = fuzz_dir / "f.lvck"
+    p.write_bytes(data)
+    try:
+        back = load_checkpoint(p)
+    except FormatError as e:
+        assert str(e).startswith(f"{p}:"), str(e)
+        return
+    # accepted: saving what was read gives the file back, up to how the JSON
+    # config block is spelt
+    (head,) = struct.unpack_from("<I", data, 24)
+    canon = json.dumps(json.loads(data[28:28 + head]), sort_keys=True,
+                       separators=(",", ":")).encode()
+    assert checkpoint_bytes(back) == (data[:24] + struct.pack("<I", len(canon))
+                                      + canon + data[28 + head:])
 
 def test_restored_models_share_no_array(tmp_path):
     model = Model(CFG, "full", 5)

@@ -259,6 +259,15 @@ def test_ppm_write_clips(tmp_path):
     assert back[0, 0, 0] == 0.0 and back[2, 0, 0] == 1.0
 
 
+
+def test_ppm_payload_is_interleaved_quantised_planes(tmp_path):
+    img = Rng(3).uniform((3, 9, 14), -0.3, 1.3)  # values outside [0, 1] too
+    img[:, 0, :3] = [[0.0, 1.0, 0.5 / 255]] * 3
+    p = tmp_path / "q.ppm"
+    write_ppm(p, img)
+    u8 = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
+    assert p.read_bytes() == b"P6\n14 9\n255\n" + u8.transpose(1, 2, 0).tobytes()
+
 def test_ppm_header_comments_ok(tmp_path):
     p = tmp_path / "c.ppm"
     p.write_bytes(b"P6\n# a comment\n2 1\n# more\n255\n" + bytes(6))

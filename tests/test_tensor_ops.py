@@ -138,6 +138,35 @@ def test_conv2d_bit_identical_to_strided_reference(dtype, batched, stride, pad, 
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k,pad", [(1, 0), (3, 0), (3, 1)])
+def test_conv2d_one_output_channel_bit_identical(dtype, batched, stride, k, pad):
+    # a one-channel kernel forms its input gradient without a GEMM; zeros of
+    # either sign in the gradient and a zero weight tap must not change bytes.
+    # (A padded 1x1 kernel is left out: on an unbatched input the reference's
+    # window matrix is a strided view, and its weight gradient rounds apart.)
+    rng = np.random.default_rng(1000 + 100 * stride + 10 * pad + k)
+    cin, h, wd = 3, 5, 6
+    lead = (2,) if batched else ()
+    x = rng.standard_normal(lead + (cin, h, wd)).astype(dtype)
+    w = rng.standard_normal((1, cin, k, k)).astype(dtype)
+    w[0, 0, 0, 0] = 0.0
+    b = rng.standard_normal(1).astype(dtype)
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (wd + 2 * pad - k) // stride + 1
+    g = rng.standard_normal(lead + (1, ho, wo)).astype(dtype)
+    g[..., 0] = -0.0
+    g[..., 1] = 0.0
+    ref = strided_conv_reference(x, w, b, stride, pad, g)
+    out = conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                 Tensor(b, requires_grad=True), stride=stride, pad=pad)
+    got = (out.data,) + tuple(out._backward(g))
+    for name, r, v in zip(("y", "gx", "gw", "gb"), ref, got):
+        assert same_bytes(np.asarray(v), r), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv2d_bit_identical_on_single_pixel(dtype):
     # all nine taps of every output read the one pixel, so its gradient is a
     # nine-term sum that must keep the reference's sequential order
