@@ -205,7 +205,7 @@ def network_builder(seed: int):
                           d_c=cfg.d_c, d_d=cfg.d_d, tokens=2, k=cfg.k)
     probe = _probe(Rng(seed))
     stages = model.stages()
-    # base point: each stage's input, the context the entry stage filled in,
+    # base point: each stage's input, the context once every stage has run,
     # and each fusion stage's branch outputs by stage index
     xs: List[Tensor] = []
     base_ctx: Dict = {}

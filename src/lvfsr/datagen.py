@@ -98,16 +98,19 @@ def generate_dataset(out_root, count: int, hr_size: int, scale: int, seed: int,
     for split in splits:
         hr_dir = os.path.join(root, "hr", split)
         pr_dir = os.path.join(root, "priors", split)
-        os.makedirs(hr_dir, exist_ok=True)
-        os.makedirs(pr_dir, exist_ok=True)
         ids = [f"{split[:2]}{i:04d}" for i in range(count)]
         for image_id in ids:
             img = face_image(hr_size, base.stream(f"{split}/{image_id}"))
             hr_q = (np.rint(img * 255.0) / 255.0).astype(np.float32)
-            write_ppm(os.path.join(hr_dir, f"{image_id}.ppm"), hr_q)
             lr = bicubic_resize(hr_q, hr_size // scale, hr_size // scale)
+            # every prior failure (a token count or width the image cannot
+            # give) depends on the arguments alone, so it stops the first
+            # image, before anything is written
             bundle = synth_priors(hr_q, lr, seed, informative, image_id,
                                   d_c=d_c, d_d=d_d, tokens=tokens, k=k)
+            os.makedirs(hr_dir, exist_ok=True)
+            os.makedirs(pr_dir, exist_ok=True)
+            write_ppm(os.path.join(hr_dir, f"{image_id}.ppm"), hr_q)
             save_prior_bundle(pr_dir, bundle)
         manifest = "".join(i + "\n" for i in ids)
         atomic_write(os.path.join(root, f"{split}.txt"), manifest.encode())

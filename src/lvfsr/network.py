@@ -187,7 +187,6 @@ class Model:
 
         self.recon_w, self.recon_b = store.conv("recon.conv", 3 * config.r ** 2, c, 3)
         self.store = store
-        self._residual_cache: Dict[bytes, np.ndarray] = {}
 
     def _branches(self) -> Tuple[str, ...]:
         if self.variant == "model1_no_prior":
@@ -228,7 +227,8 @@ class Model:
         return inputs
 
     def start(self, lr_img: np.ndarray, bundle: Optional[PriorBundle]) -> Tuple[Tensor, Dict]:
-        """The entry stage's input and a fresh context for one image."""
+        """The entry stage's input and a fresh context for one image: the
+        bundle and the bicubic base that recon adds to its output."""
         cfg = self.config
         lr = np.asarray(lr_img)
         if lr.shape != (3, cfg.h, cfg.w):
@@ -237,14 +237,19 @@ class Model:
             if bundle is None:
                 raise DataError(f"variant '{self.variant}' requires a prior bundle")
             bundle.check_lr_extents(cfg.h, cfg.w)
-        return constant(lr.astype(self.feat_w.data.dtype)), {"lr": lr, "bundle": bundle}
+        dt = self.feat_w.data.dtype
+        # a value-preserving input dtype: the resize writes its float64
+        # result straight into `dt` when the LR image already has it
+        src = lr.astype(np.promote_types(lr.dtype, dt), copy=False)
+        base = bicubic_resize(src, cfg.h * cfg.r, cfg.w * cfg.r).astype(dt, copy=False)
+        return constant(lr.astype(dt)), {"bundle": bundle, "base": constant(base)}
 
     def stages(self) -> List[Stage]:
         """The forward in order: entry (writes the encoded priors, keyed by
-        branch, and the bicubic base into the context), then per block a
-        fusion stage (none in model1) and a body stage, then recon. Built
-        per call, so a stage function rebound by name (a per-layer timer) is
-        seen by models built before."""
+        branch, into the context), then per block a fusion stage (none in
+        model1) and a body stage, then recon. Built per call, so a stage
+        function rebound by name (a per-layer timer) is seen by models built
+        before."""
         out = [Stage("entry", self._entry)]
         for i, bp in enumerate(self.blocks):
             if bp.fusion is not None:
@@ -264,28 +269,11 @@ class Model:
 
     def _entry(self, x: Tensor, context: Dict) -> Tensor:
         context.update(self.prior_inputs(context["bundle"]))
-        context["base"] = constant(self._residual(context["lr"], x.data.dtype))
         return conv2d(x, self.feat_w, self.feat_b, stride=1, pad=1)
 
     def _recon(self, x: Tensor, context: Dict) -> Tensor:
         x = conv2d(x, self.recon_w, self.recon_b, stride=1, pad=1)
         return add(pixel_shuffle(x, self.config.r), context["base"])
-
-    def _residual(self, lr: np.ndarray, dt) -> np.ndarray:
-        """Bicubic-upsampled LR (constant per image); memoized."""
-        key = lr.tobytes() + bytes(str(dt), "ascii")
-        base = self._residual_cache.get(key)
-        if base is None:
-            cfg = self.config
-            # a value-preserving input dtype: the resize writes its float64
-            # result straight into `dt` when the LR image already has it
-            src = lr.astype(np.promote_types(lr.dtype, dt), copy=False)
-            base = bicubic_resize(src, cfg.h * cfg.r,
-                                  cfg.w * cfg.r).astype(dt, copy=False)
-            if len(self._residual_cache) >= 64:
-                self._residual_cache.clear()
-            self._residual_cache[key] = base
-        return base
 
 
 # --- checkpoint serialization ------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -86,14 +86,21 @@ class PriorBundle:
     description: DescriptionEmbedding
 
     def validate(self) -> "PriorBundle":
-        self.mask.validate()
-        self.depth.validate()
-        self.caption.validate()
-        self.description.validate()
+        for _, check in self.checks():
+            check()
+        return self
+
+    def checks(self) -> Tuple[Tuple[str, Callable[[], object]], ...]:
+        """Every check `validate` makes, each with the part (as named on
+        disk) whose values it reads."""
+        return (("mask", self.mask.validate), ("depth", self.depth.validate),
+                ("cap", self.caption.validate), ("desc", self.description.validate),
+                ("depth", self._check_depth_extents))
+
+    def _check_depth_extents(self) -> None:
         if self.mask.labels.shape != self.depth.depth.shape:
             raise DataError(f"bundle '{self.image_id}': mask extents {self.mask.labels.shape} "
                             f"!= depth extents {self.depth.depth.shape}")
-        return self
 
     def check_lr_extents(self, h: int, w: int) -> None:
         if self.mask.labels.shape != (h, w):
@@ -116,35 +123,24 @@ def save_prior_bundle(dirpath, bundle: PriorBundle) -> None:
 
 
 def load_prior_bundle(dirpath, image_id: str, k: int = 8) -> PriorBundle:
+    """Read and validate a bundle; an error names the file it read."""
     paths = _bundle_paths(dirpath, image_id)
-    for part, p in paths.items():
+    for p in paths.values():
         if not os.path.exists(p):
             raise DataError(f"missing prior file: {p}")
     lab_f = read_ten(paths["mask"])
-    if lab_f.ndim != 2:
-        raise DataError(f"{paths['mask']}: mask must be rank 2, got rank {lab_f.ndim}")
     lab = np.rint(lab_f).astype(np.int64)
     if np.abs(lab_f - lab).max(initial=0.0) > 1e-6:
         raise DataError(f"{paths['mask']}: labels are not integral")
-    if lab.size and (lab.min() < 0 or lab.max() >= k):
-        raise DataError(f"{paths['mask']}: labels outside [0, {k})")
-    depth = read_ten(paths["depth"])
-    if depth.ndim != 2:
-        raise DataError(f"{paths['depth']}: depth must be rank 2, got rank {depth.ndim}")
-    if depth.size and (depth.min() < 0.0 or depth.max() > 1.0):
-        raise DataError(f"{paths['depth']}: depth values outside [0, 1]")
-    if lab.shape != depth.shape:
-        raise DataError(f"{paths['depth']}: depth extents {depth.shape} "
-                        f"!= mask extents {lab.shape}")
-    cap = read_ten(paths["cap"])
-    if cap.ndim != 1:
-        raise DataError(f"{paths['cap']}: caption must be rank 1, got rank {cap.ndim}")
-    desc = read_ten(paths["desc"])
-    if desc.ndim != 2:
-        raise DataError(f"{paths['desc']}: tokens must be rank 2, got rank {desc.ndim}")
-    bundle = PriorBundle(image_id, SemanticMask(lab, k), DepthMap(depth),
-                         CaptionEmbedding(cap), DescriptionEmbedding(desc))
-    return bundle.validate()
+    bundle = PriorBundle(image_id, SemanticMask(lab, k), DepthMap(read_ten(paths["depth"])),
+                         CaptionEmbedding(read_ten(paths["cap"])),
+                         DescriptionEmbedding(read_ten(paths["desc"])))
+    for part, check in bundle.checks():
+        try:
+            check()
+        except DataError as e:
+            raise DataError(f"{paths[part]}: {e}") from None
+    return bundle
 
 
 def luminance(img: np.ndarray) -> np.ndarray:

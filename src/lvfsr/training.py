@@ -1,4 +1,8 @@
-"""Training loop: on-the-fly bicubic degradation, L1 objective, Adam.
+"""Training loop: L1 objective, Adam, over samples prepared at load.
+
+`load_dataset` degrades each HR image to its LR input once, when the dataset
+is read; the model makes the bicubic base it predicts a residual over once
+per forward.
 
 Shuffling is a pure function of (seed, epoch), so a resumed run replays the
 exact batch order of an uninterrupted one. The loss log carries only
@@ -14,7 +18,7 @@ import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -120,11 +124,11 @@ def network_config_for(cfg: TrainConfig, lr_h: int, lr_w: int) -> NetworkConfig:
 
 # --- data -------------------------------------------------------------------
 
-@dataclass
-class Dataset:
-    ids: List[str]
-    hr: Dict[str, np.ndarray]
-    bundles: Dict[str, PriorBundle]
+class Sample(NamedTuple):
+    """One training image: the LR input, the HR target and its priors."""
+    lr: np.ndarray
+    hr: np.ndarray
+    bundle: Optional[PriorBundle]
 
 
 def read_manifest(data_root, split: str) -> List[str]:
@@ -138,25 +142,32 @@ def read_manifest(data_root, split: str) -> List[str]:
     return ids
 
 
-def load_dataset(data_root, split: str, k: int = 8,
-                 with_priors: bool = True) -> Dataset:
+def degrade(hr: np.ndarray, r: int) -> np.ndarray:
+    c, h, w = hr.shape
+    if h % r or w % r:
+        raise DataError(f"scale {r} does not divide HR extents {(h, w)}")
+    return bicubic_resize(hr, h // r, w // r)
+
+
+def load_dataset(data_root, split: str, scale: int, k: int = 8,
+                 with_priors: bool = True) -> List[Sample]:
+    """One sample per manifest id, in manifest order. Each HR image is
+    degraded by `scale` here, so a scale that does not divide it fails at
+    load."""
     root = os.fspath(data_root)
-    ids = read_manifest(root, split)
-    hr: Dict[str, np.ndarray] = {}
-    bundles: Dict[str, PriorBundle] = {}
+    samples: List[Sample] = []
     shape = None
-    for image_id in ids:
-        img = read_ppm(os.path.join(root, "hr", split, f"{image_id}.ppm"))
+    for image_id in read_manifest(root, split):
+        hr = read_ppm(os.path.join(root, "hr", split, f"{image_id}.ppm"))
         if shape is None:
-            shape = img.shape
-        elif img.shape != shape:
-            raise DataError(f"HR image '{image_id}' has extents {img.shape}, "
+            shape = hr.shape
+        elif hr.shape != shape:
+            raise DataError(f"HR image '{image_id}' has extents {hr.shape}, "
                             f"dataset uses {shape}")
-        hr[image_id] = img
-        if with_priors:
-            bundles[image_id] = load_prior_bundle(
-                os.path.join(root, "priors", split), image_id, k=k)
-    return Dataset(ids, hr, bundles)
+        bundle = (load_prior_bundle(os.path.join(root, "priors", split), image_id, k=k)
+                  if with_priors else None)
+        samples.append(Sample(degrade(hr, scale), hr, bundle))
+    return samples
 
 
 # --- loss and step ----------------------------------------------------------
@@ -167,23 +178,12 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     return mean_abs(sub(pred, target))
 
 
-def degrade(hr: np.ndarray, r: int) -> np.ndarray:
-    c, h, w = hr.shape
-    if h % r or w % r:
-        raise DataError(f"scale {r} does not divide HR extents {(h, w)}")
-    return bicubic_resize(hr, h // r, w // r)
-
-
-def train_step(model: Model, batch: Sequence[Tuple[np.ndarray, Optional[PriorBundle]]],
-               state: AdamState, hyper: AdamHyper, step: int) -> float:
-    """Degrade, forward, average per-image L1, backprop, Adam. 1-based step."""
-    r = model.config.r
+def train_step(model: Model, batch: Sequence[Sample], state: AdamState,
+               hyper: AdamHyper, step: int) -> float:
+    """Forward, average per-image L1, backprop, Adam. 1-based step."""
     dt = model.params[next(iter(model.params))].data.dtype
-    losses = []
-    for hr, bundle in batch:
-        lr_img = degrade(hr, r)
-        out = model.forward(lr_img, bundle)
-        losses.append(l1_loss(out, constant(hr.astype(dt))))
+    losses = [l1_loss(model.forward(lr, bundle), constant(hr.astype(dt)))
+              for lr, hr, bundle in batch]
     total = losses[0]
     for li in losses[1:]:
         total = add(total, li)
@@ -215,9 +215,9 @@ def run_training(cfg: TrainConfig, out_dir, resume: Optional[str] = None,
     out = os.fspath(out_dir)
     os.makedirs(out, exist_ok=True)
 
-    data = load_dataset(root, "train", k=cfg.network.k,
+    data = load_dataset(root, "train", cfg.scale, k=cfg.network.k,
                         with_priors=cfg.variant != "model1_no_prior")
-    n = len(data.ids)
+    n = len(data)
     if n < cfg.batch:
         raise DataError(f"dataset has {n} images, batch needs {cfg.batch}")
     spe = n // cfg.batch  # drop-last
@@ -225,9 +225,7 @@ def run_training(cfg: TrainConfig, out_dir, resume: Optional[str] = None,
     if max_steps is not None:
         total_steps = min(total_steps, max_steps)
 
-    hr0 = data.hr[data.ids[0]]
-    net_cfg = network_config_for(cfg, hr0.shape[1] // cfg.scale,
-                                 hr0.shape[2] // cfg.scale)
+    net_cfg = network_config_for(cfg, *data[0].lr.shape[1:])
 
     state = AdamState()
     if resume is not None:
@@ -262,9 +260,7 @@ def run_training(cfg: TrainConfig, out_dir, resume: Optional[str] = None,
             for b in range(start_batch, spe):
                 if step >= total_steps:
                     break
-                picked = order[b * cfg.batch:(b + 1) * cfg.batch]
-                batch = [(data.hr[data.ids[i]],
-                          data.bundles.get(data.ids[i])) for i in picked]
+                batch = [data[i] for i in order[b * cfg.batch:(b + 1) * cfg.batch]]
                 t0 = time.monotonic()
                 step += 1
                 loss = train_step(model, batch, state, hyper, step)

@@ -205,6 +205,16 @@ def test_synth_data_bad_size_or_count_is_one_error_line(tmp_path, capsys, argv):
     assert not out_dir.exists()  # refused before writing anything
 
 
+def test_synth_data_too_few_token_patches_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "sd"
+    code, out, err = run_cli(capsys, "synth-data", "--out", str(out_dir),
+                             "--hr-size", "8", "--informative")
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "patches" in err and "wrote" not in out
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("argv", [("--seeds", "0"), ("--seeds", "-2"), ("--steps", "0")])
 def test_ablate_rejects_empty_run(capsys, argv):
     args = {"--steps": "2", "--seeds": "1"}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lvfsr.datagen import generate_dataset
 from lvfsr.errors import DataError, FormatError
 from lvfsr.numeric import Rng, parameter, write_ten
 from lvfsr.priors import (CaptionEmbedding, DepthMap, DescriptionEmbedding,
@@ -62,6 +63,14 @@ def test_bundle_rejects_mismatched_extents():
 
 
 # --- synth_priors --------------------------------------------------------
+
+def test_generate_dataset_refuses_token_count_before_writing(tmp_path):
+    # the CLI test of too few informative patches covers the other failure
+    with pytest.raises(DataError, match="token count 0"):
+        generate_dataset(tmp_path / "d", count=2, hr_size=16, scale=8, seed=0,
+                         informative=False, tokens=0)
+    assert not (tmp_path / "d").exists()
+
 
 def test_synth_priors_deterministic():
     hr, lr = small_pair()

@@ -7,12 +7,13 @@ import pytest
 
 from lvfsr.datagen import generate_dataset
 from lvfsr.errors import ConfigError, DataError, ShapeError
-from lvfsr.network import load_checkpoint
-from lvfsr.numeric import AdamHyper, AdamState, Rng, constant
-from lvfsr.training import (Dataset, NetworkFields, TrainConfig, degrade,
-                            epoch_order, l1_loss, load_dataset,
-                            load_train_config, run_training, train_config_from_dict,
-                            train_step)
+from lvfsr.network import Model, load_checkpoint
+from lvfsr.numeric import AdamHyper, AdamState, Rng, add, constant, scale
+from lvfsr.priors import load_prior_bundle, read_ppm
+from lvfsr.training import (NetworkFields, TrainConfig, degrade, epoch_order,
+                            l1_loss, load_dataset, load_train_config,
+                            network_config_for, read_manifest, run_training,
+                            train_config_from_dict, train_step)
 
 NET = NetworkFields(l=1, c=4, heads=2, d_c=8, d_d=8, k=8)
 
@@ -124,24 +125,58 @@ def test_degrade_requires_divisible_extents():
 
 def test_load_dataset_errors(tmp_path, tiny_data):
     with pytest.raises(DataError, match="manifest"):
-        load_dataset(tmp_path, "train")
+        load_dataset(tmp_path, "train", 8)
     (tmp_path / "train.txt").write_text("\n")
     with pytest.raises(DataError, match="empty"):
-        load_dataset(tmp_path, "train")
-    data = load_dataset(tiny_data, "train", k=8)
-    assert len(data.ids) == 4 and set(data.bundles) == set(data.ids)
+        load_dataset(tmp_path, "train", 8)
+    data = load_dataset(tiny_data, "train", 8, k=8)
+    ids = read_manifest(tiny_data, "train")
+    assert [s.bundle.image_id for s in data] == ids
+
+
+def test_load_dataset_degrades_each_image_once(tiny_data):
+    samples = load_dataset(tiny_data, "train", 8, k=8)
+    for s, image_id in zip(samples, read_manifest(tiny_data, "train")):
+        hr = read_ppm(tiny_data / "hr" / "train" / f"{image_id}.ppm")
+        assert s.hr.dtype == np.float32 and s.hr.tobytes() == hr.tobytes()
+        want = degrade(hr, 8)
+        assert s.lr.dtype == want.dtype and s.lr.tobytes() == want.tobytes()
+    no_priors = load_dataset(tiny_data, "train", 8, with_priors=False)
+    assert all(s.bundle is None for s in no_priors)
+
+
+def test_load_dataset_rejects_non_dividing_scale(tiny_data):
+    with pytest.raises(DataError, match="scale 3 does not divide"):
+        load_dataset(tiny_data, "train", 3)
 
 
 # --- stepping ------------------------------------------------------------
 
 def frozen_batch(tiny_data):
-    data = load_dataset(tiny_data, "train", k=8)
-    return [(data.hr[i], data.bundles[i]) for i in data.ids[:2]]
+    return load_dataset(tiny_data, "train", 8, k=8)[:2]
+
+
+def test_step_one_loss_equals_per_step_degrade(tiny_data, tmp_path):
+    """Degrading at load leaves the logged loss bit for bit where degrading
+    inside every step put it."""
+    cfg = tiny_cfg(tiny_data)
+    run_training(cfg, tmp_path / "s", max_steps=1)
+    logged = (tmp_path / "s" / "loss.log").read_text().split("\t")[1].strip()
+    model = Model(network_config_for(cfg, 2, 2), "full", cfg.seed)
+    ids = read_manifest(tiny_data, "train")
+    losses = []
+    for i in epoch_order(cfg.seed, 0, len(ids))[:cfg.batch]:
+        hr = read_ppm(tiny_data / "hr" / "train" / f"{ids[i]}.ppm")
+        bundle = load_prior_bundle(tiny_data / "priors" / "train", ids[i], k=8)
+        losses.append(l1_loss(model.forward(degrade(hr, cfg.scale), bundle),
+                              constant(hr)))
+    total = losses[0]
+    for li in losses[1:]:
+        total = add(total, li)
+    assert logged == repr(float(scale(total, 1.0 / len(losses)).data))
 
 
 def test_frozen_batch_descent(tiny_data):
-    from lvfsr.network import Model
-    from lvfsr.training import network_config_for
     cfg = tiny_cfg(tiny_data)
     model = Model(network_config_for(cfg, 2, 2), "full", 0)
     batch = frozen_batch(tiny_data)
@@ -155,8 +190,6 @@ def test_frozen_batch_descent(tiny_data):
 
 
 def test_zero_lr_leaves_params_bit_identical(tiny_data):
-    from lvfsr.network import Model
-    from lvfsr.training import network_config_for
     cfg = tiny_cfg(tiny_data)
     model = Model(network_config_for(cfg, 2, 2), "full", 0)
     before = {n: p.data.copy() for n, p in model.params.items()}
