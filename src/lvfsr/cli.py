@@ -66,7 +66,7 @@ def _cmd_infer(args) -> int:
     model = model_from_checkpoint(ckpt)
     lr = read_ppm(args.lr_image)
     bundle = None
-    if model.variant != "model1_no_prior":
+    if model.branches:
         if args.priors is None:
             raise DataError(f"variant '{model.variant}' requires --priors")
         image_id = os.path.splitext(os.path.basename(args.lr_image))[0]

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .network import VARIANTS
+from .network import VARIANTS, NetworkFields
 from .numeric import atomic_write
 from .priors import luminance, read_ppm
 
@@ -144,19 +144,23 @@ def write_report(path, rep: MetricReport) -> None:
 
 def read_report(path) -> MetricReport:
     records, meta, footer = [], {}, None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split("\t")
-            try:
-                if parts[0] == "#meta":
-                    meta[parts[1]] = parts[2]
-                elif parts[0] == "#mean":
-                    footer = (float(parts[1]), float(parts[2]))
-                else:
-                    records.append((parts[0], float(parts[1]), float(parts[2])))
-            except (IndexError, ValueError):
-                raise DataError(f"{path}:{lineno}: malformed report line "
-                                f"{line.rstrip()!r}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: report is not UTF-8 text") from None
+    for lineno, line in enumerate(lines, 1):
+        parts = line.rstrip("\n").split("\t")
+        try:
+            if parts[0] == "#meta":
+                meta[parts[1]] = parts[2]
+            elif parts[0] == "#mean":
+                footer = (float(parts[1]), float(parts[2]))
+            else:
+                records.append((parts[0], float(parts[1]), float(parts[2])))
+        except (IndexError, ValueError):
+            raise DataError(f"{path}:{lineno}: malformed report line "
+                            f"{line.rstrip()!r}") from None
     if footer is None:
         raise DataError(f"{path}: missing #mean footer")
     return MetricReport(records, footer[0], footer[1], meta)
@@ -237,13 +241,9 @@ class AblationSpec:
     count: int = 8
     hr_size: int = 16
     scale: int = 8
-    c: int = 24
-    l: int = 2
-    heads: int = 4
-    d_c: int = 64
-    d_d: int = 192
+    network: NetworkFields = field(default_factory=lambda: NetworkFields(
+        l=2, c=24, heads=4, d_c=64, d_d=192, k=8))
     tokens: int = 4
-    k: int = 8
     batch: int = 4
     lr: float = 2e-3
 
@@ -266,7 +266,7 @@ def run_ablation(variants: Sequence[str], spec: AblationSpec, work_dir,
     per-run scalar is the mean loss over the final 10% of steps.
     """
     from .datagen import generate_dataset
-    from .training import NetworkFields, TrainConfig, run_training
+    from .training import TrainConfig, run_training
 
     for tag in variants:
         if tag not in VARIANTS:
@@ -284,18 +284,16 @@ def run_ablation(variants: Sequence[str], spec: AblationSpec, work_dir,
     for seed in spec.seeds:
         data_dir = os.path.join(work, f"data_s{seed}")
         generate_dataset(data_dir, spec.count, spec.hr_size, spec.scale, seed,
-                         informative=True, d_c=spec.d_c, d_d=spec.d_d,
-                         tokens=spec.tokens, k=spec.k, splits=("train",))
+                         informative=True, d_c=spec.network.d_c,
+                         d_d=spec.network.d_d, tokens=spec.tokens,
+                         k=spec.network.k, splits=("train",))
         for tag in variants:
             run_dir = os.path.join(work, f"{tag}_s{seed}")
             cfg = TrainConfig(lr=spec.lr, epochs=epochs, batch=spec.batch,
                               scale=spec.scale, seed=seed,
                               checkpoint_interval=spec.steps,
                               data_root=data_dir, variant=tag,
-                              network=NetworkFields(l=spec.l, c=spec.c,
-                                                    heads=spec.heads,
-                                                    d_c=spec.d_c, d_d=spec.d_d,
-                                                    k=spec.k))
+                              network=spec.network)
             ckpt = run_training(cfg, run_dir, max_steps=spec.steps)
             losses = parse_loss_log(os.path.join(run_dir, "loss.log"))
             rows.append(AblationRow(tag, seed, final_phase_loss(losses),

@@ -4,14 +4,16 @@ pair), reconstruction with sub-pixel upsampling over a bicubic residual.
 Variant tags cover the ablation grid: `full`, `model1_no_prior` (no priors,
 fusion is the identity), `model2_concat` (concat + 1x1 conv fusion), and
 `drop_FS` / `drop_FD` / `drop_EC` / `drop_ED` (one branch removed).
+`VARIANT_PRIORS` lists the priors each one reads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import (Callable, Dict, Iterator, List, Mapping, NamedTuple,
                     Optional, Tuple)
@@ -30,36 +32,49 @@ from .params import ParamStore
 from .priors import PriorBundle, encode_depth, encode_mask
 from .resample import bicubic_resize
 
-VARIANTS = ("full", "model1_no_prior", "model2_concat",
-            "drop_FS", "drop_FD", "drop_EC", "drop_ED")
-
-_DROPPED_BRANCH = {"drop_FS": "seg", "drop_FD": "dep",
-                   "drop_EC": "cap", "drop_ED": "des"}
+# in BRANCH_ORDER, which the fusion's concat follows
+VARIANT_PRIORS: Dict[str, Tuple[str, ...]] = {
+    "full": BRANCH_ORDER,
+    "model1_no_prior": (),
+    "model2_concat": BRANCH_ORDER,
+    "drop_FS": ("dep", "cap", "des"),
+    "drop_FD": ("seg", "cap", "des"),
+    "drop_EC": ("seg", "dep", "des"),
+    "drop_ED": ("seg", "dep", "cap"),
+}
+VARIANTS = tuple(VARIANT_PRIORS)
 
 CKPT_MAGIC = b"LVCK"
 CKPT_VERSION = 1
 
 
 @dataclass
-class NetworkConfig:
+class NetworkFields:
+    """The network shape a training config sets."""
     l: int = 3          # fusion/transformer block pairs
     c: int = 32         # feature channels
     heads: int = 4
-    r: int = 8          # upscale factor
     d_c: int = 64       # caption embedding width
     d_d: int = 64       # description token width
     k: int = 8          # mask classes
+
+
+@dataclass
+class NetworkConfig(NetworkFields):
+    """A built network's shape: training fills in the scale and LR extents."""
+    r: int = 8          # upscale factor
     h: int = 8          # LR extents
     w: int = 8
 
     def validate(self) -> "NetworkConfig":
+        check_fields(self, "network config")
         if self.r not in (8, 16):
             raise ConfigError(f"scale must be 8 or 16, got {self.r}")
+        for name, value in asdict(self).items():
+            if value < 1:
+                raise ConfigError(f"config field '{name}' must be positive")
         if self.c % self.heads:
             raise ConfigError(f"channels {self.c} not divisible by {self.heads} heads")
-        for name in ("l", "c", "heads", "d_c", "d_d", "k", "h", "w"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"config field '{name}' must be positive")
         return self
 
     def to_dict(self) -> dict:
@@ -67,21 +82,46 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"network config must be an object, got {type(d).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown network config keys: {sorted(unknown)}")
-        missing = known - set(d)
-        if missing:
-            raise ConfigError(f"missing network config keys: {sorted(missing)}")
-        for k, v in d.items():
-            # bool is an int subclass; a float or string is not coerced
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ConfigError(f"network config key '{k}' must be an integer, "
-                                  f"got {v!r}")
-        return cls(**{k: int(v) for k, v in d.items()}).validate()
+        check_keys(cls, d, "network config", complete=True)
+        return cls(**d).validate()
+
+
+# keyed by field annotation, a string under `from __future__ import annotations`
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a finite number"),
+          "str": (str, "a string"), "NetworkFields": (NetworkFields, "an object")}
+
+
+def _finite(v: numbers.Real) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def check_fields(obj, context: str) -> None:
+    """Raise ConfigError unless each field of the dataclass `obj` holds the
+    kind its annotation names: bool is not an integer, and a float field
+    holds a finite number."""
+    for f in fields(obj):
+        kind, want = _KINDS[f.type]
+        v = getattr(obj, f.name)
+        if (not isinstance(v, kind) or isinstance(v, bool)
+                or (kind is numbers.Real and not _finite(v))):
+            raise ConfigError(f"{context} field '{f.name}' must be {want}, got {v!r}")
+
+
+def check_keys(cls, d, context: str, complete: bool = False) -> None:
+    """Raise ConfigError unless `d` is an object whose keys are fields of the
+    dataclass `cls`, and, if `complete`, every one of them."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{context}: top level must be an object, got {type(d).__name__}")
+    known = {f.name for f in fields(cls)}
+    unknown = set(d) - known
+    if unknown:
+        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+    missing = known - set(d)
+    if complete and missing:
+        raise ConfigError(f"{context}: missing keys {sorted(missing)}")
 
 
 @dataclass
@@ -156,23 +196,23 @@ class Model:
         config.validate()
         self.config = config
         self.variant = variant
+        self.branches = VARIANT_PRIORS[variant]  # the priors it reads
         self.seed = seed
         store = ParamStore(seed, saved)
         c = config.c
 
         self.feat_w, self.feat_b = store.conv("feat.conv", c, 3, 3)
 
-        branches = self._branches()
         self.mask_w = self.mask_b = self.depth_w = self.depth_b = None
-        if "seg" in branches:
+        if "seg" in self.branches:
             self.mask_w, self.mask_b = store.conv("mask_enc.conv", c, config.k, 3)
-        if "dep" in branches:
+        if "dep" in self.branches:
             self.depth_w, self.depth_b = store.conv("depth_enc.conv", c, 1, 3)
 
         self.blocks: List[BlockParams] = []
         for i in range(config.l):
             prefix = f"block{i}"
-            if variant == "model1_no_prior":
+            if not self.branches:
                 fusion = None
             elif variant == "model2_concat":
                 fusion = build_concat_fusion(store, f"{prefix}.fusion", c,
@@ -180,19 +220,13 @@ class Model:
             else:
                 fusion = build_fusion_params(store, f"{prefix}.fusion", c,
                                              config.d_c, config.d_d,
-                                             config.heads, branches)
+                                             config.heads, self.branches)
             subs = (_build_sub(store, f"{prefix}.body.t0", c),
                     _build_sub(store, f"{prefix}.body.t1", c))
             self.blocks.append(BlockParams(fusion, subs))
 
         self.recon_w, self.recon_b = store.conv("recon.conv", 3 * config.r ** 2, c, 3)
         self.store = store
-
-    def _branches(self) -> Tuple[str, ...]:
-        if self.variant == "model1_no_prior":
-            return ()
-        dropped = _DROPPED_BRANCH.get(self.variant)
-        return tuple(b for b in BRANCH_ORDER if b != dropped)
 
     @property
     def params(self) -> Dict[str, Tensor]:
@@ -209,18 +243,17 @@ class Model:
     def prior_inputs(self, bundle: PriorBundle) -> Dict[str, Tensor]:
         cfg, dt = self.config, self.feat_w.data.dtype
         inputs: Dict[str, Tensor] = {}
-        branches = self._branches()
-        if "seg" in branches:
+        if "seg" in self.branches:
             if bundle.mask.k != cfg.k:
                 raise DataError(f"bundle mask has {bundle.mask.k} classes, config has {cfg.k}")
             inputs["seg"] = encode_mask(bundle.mask, self.mask_w, self.mask_b)
-        if "dep" in branches:
+        if "dep" in self.branches:
             inputs["dep"] = encode_depth(bundle.depth, self.depth_w, self.depth_b)
-        if "cap" in branches:
+        if "cap" in self.branches:
             if bundle.caption.vector.shape != (cfg.d_c,):
                 raise DataError(f"caption width {bundle.caption.vector.shape} != ({cfg.d_c},)")
             inputs["cap"] = constant(bundle.caption.vector.astype(dt))
-        if "des" in branches:
+        if "des" in self.branches:
             if bundle.description.tokens.shape[1] != cfg.d_d:
                 raise DataError(f"token width {bundle.description.tokens.shape[1]} != {cfg.d_d}")
             inputs["des"] = constant(bundle.description.tokens.astype(dt))
@@ -233,7 +266,7 @@ class Model:
         lr = np.asarray(lr_img)
         if lr.shape != (3, cfg.h, cfg.w):
             raise ShapeError(f"LR image shape {lr.shape} != configured (3, {cfg.h}, {cfg.w})")
-        if self.variant != "model1_no_prior":
+        if self.branches:
             if bundle is None:
                 raise DataError(f"variant '{self.variant}' requires a prior bundle")
             bundle.check_lr_extents(cfg.h, cfg.w)
@@ -400,7 +433,7 @@ def _parse_checkpoint(buf: bytes, path) -> Checkpoint:
             raise ConfigError(f"header is a JSON {type(head).__name__}, not an object")
         config = NetworkConfig.from_dict(head["config"])
         variant = head["variant"]
-    except (ValueError, KeyError, ConfigError) as e:
+    except (ValueError, KeyError, RecursionError, ConfigError) as e:
         raise FormatError(f"{path}: malformed config block: {e}") from None
     if variant not in VARIANTS:
         raise FormatError(f"{path}: unknown variant '{variant}'")

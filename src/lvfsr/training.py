@@ -13,17 +13,16 @@ sidecar file that makes no determinism promise.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .network import (VARIANTS, Checkpoint, Model, NetworkConfig, checkpoint_of,
+from .network import (VARIANT_PRIORS, VARIANTS, Checkpoint, Model, NetworkConfig,
+                      NetworkFields, check_fields, check_keys, checkpoint_of,
                       load_checkpoint, model_from_checkpoint, save_checkpoint)
 from .numeric import (AdamHyper, AdamState, Rng, Tensor, adam_step, add,
                       backward, constant, mean_abs, scale, sub, zero_grads)
@@ -32,21 +31,7 @@ from .resample import bicubic_resize
 
 
 @dataclass
-class NetworkFields:
-    l: int = 3
-    c: int = 32
-    heads: int = 4
-    d_c: int = 64
-    d_d: int = 64
-    k: int = 8
-
-
-@dataclass
-class TrainConfig:
-    lr: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.99
-    eps: float = 1e-8
+class TrainConfig(AdamHyper):
     epochs: int = 30
     batch: int = 4
     scale: int = 8
@@ -57,8 +42,7 @@ class TrainConfig:
     network: NetworkFields = field(default_factory=NetworkFields)
 
     def validate(self) -> "TrainConfig":
-        _check_types(self, "config")
-        _check_types(self.network, "config.network")
+        check_fields(self, "config")
         for name in ("lr", "beta1", "beta2", "eps", "epochs", "batch",
                      "checkpoint_interval"):
             if getattr(self, name) <= 0:
@@ -70,56 +54,27 @@ class TrainConfig:
         network_config_for(self, 1, 1)  # scale and network fields, by NetworkConfig's rules
         return self
 
-    def hyper(self) -> AdamHyper:
-        return AdamHyper(self.lr, self.beta1, self.beta2, self.eps)
-
-
-# keyed by field annotation, a string under `from __future__ import annotations`
-_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a finite number"),
-          "str": (str, "a string"), "NetworkFields": (NetworkFields, "an object")}
-
-
-def _check_types(obj, context: str) -> None:
-    for f in fields(obj):
-        kind, want = _KINDS[f.type]
-        v = getattr(obj, f.name)
-        if (not isinstance(v, kind) or isinstance(v, bool)
-                or (kind is numbers.Real and not math.isfinite(v))):
-            raise ConfigError(f"{context} field '{f.name}' must be {want}, got {v!r}")
-
-
-def _from_fields(cls, d: dict, context: str):
-    known = set(cls.__dataclass_fields__)
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    return d
-
 
 def load_train_config(path) -> TrainConfig:
+    with open(path, "rb") as fh:
+        blob = fh.read()
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as e:
+        raw = json.loads(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or too deep
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
     return train_config_from_dict(raw, context=str(path))
 
 
 def train_config_from_dict(raw: dict, context: str = "config") -> TrainConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{context}: top level must be an object")
-    d = dict(_from_fields(TrainConfig, raw, context))
+    check_keys(TrainConfig, raw, context)
+    d = dict(raw)
     net_raw = d.pop("network", {})
-    if not isinstance(net_raw, dict):
-        raise ConfigError(f"{context}: 'network' must be an object")
-    net = NetworkFields(**_from_fields(NetworkFields, net_raw, f"{context}.network"))
-    return TrainConfig(network=net, **d).validate()
+    check_keys(NetworkFields, net_raw, f"{context}.network")
+    return TrainConfig(network=NetworkFields(**net_raw), **d).validate()
 
 
 def network_config_for(cfg: TrainConfig, lr_h: int, lr_w: int) -> NetworkConfig:
-    n = cfg.network
-    return NetworkConfig(l=n.l, c=n.c, heads=n.heads, r=cfg.scale, d_c=n.d_c,
-                         d_d=n.d_d, k=n.k, h=lr_h, w=lr_w).validate()
+    return NetworkConfig(**asdict(cfg.network), r=cfg.scale, h=lr_h, w=lr_w).validate()
 
 
 # --- data -------------------------------------------------------------------
@@ -135,8 +90,11 @@ def read_manifest(data_root, split: str) -> List[str]:
     path = os.path.join(os.fspath(data_root), f"{split}.txt")
     if not os.path.exists(path):
         raise DataError(f"missing split manifest: {path}")
-    with open(path) as fh:
-        ids = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            ids = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: split manifest is not UTF-8 text") from None
     if not ids:
         raise DataError(f"empty split manifest: {path}")
     return ids
@@ -216,7 +174,7 @@ def run_training(cfg: TrainConfig, out_dir, resume: Optional[str] = None,
     os.makedirs(out, exist_ok=True)
 
     data = load_dataset(root, "train", cfg.scale, k=cfg.network.k,
-                        with_priors=cfg.variant != "model1_no_prior")
+                        with_priors=bool(VARIANT_PRIORS[cfg.variant]))
     n = len(data)
     if n < cfg.batch:
         raise DataError(f"dataset has {n} images, batch needs {cfg.batch}")
@@ -246,7 +204,6 @@ def run_training(cfg: TrainConfig, out_dir, resume: Optional[str] = None,
         model = Model(net_cfg, cfg.variant, cfg.seed)
         start_step = 0
 
-    hyper = cfg.hyper()
     loss_log = open(os.path.join(out, "loss.log"), "a")
     time_log = open(os.path.join(out, "timing.log"), "a")
     final = None
@@ -263,7 +220,7 @@ def run_training(cfg: TrainConfig, out_dir, resume: Optional[str] = None,
                 batch = [data[i] for i in order[b * cfg.batch:(b + 1) * cfg.batch]]
                 t0 = time.monotonic()
                 step += 1
-                loss = train_step(model, batch, state, hyper, step)
+                loss = train_step(model, batch, state, cfg, step)
                 loss_log.write(f"{step}\t{loss!r}\n")
                 time_log.write(f"{step}\t{time.monotonic() - t0:.6f}\n")
                 if step % cfg.checkpoint_interval == 0 and step < total_steps:

@@ -128,7 +128,7 @@ def test_train_bad_config_errors(dataset, tmp_path, capsys):
 @pytest.mark.parametrize("over,argv", [
     ({"lr": "abc"}, ()), ({"data_root": 5}, ()), ({"network": {"l": "x"}}, ()),
     ({"epochs": 1.5}, ()), ({"batch": True, "epochs": True}, ()),
-    ({"seed": -1}, ()), ({}, ("--seed", "-5"))])
+    ({"seed": -1}, ()), ({}, ("--seed", "-5")), ({"network": {"heads": 0}}, ())])
 def test_train_malformed_config_is_one_error_line(dataset, tmp_path, capsys, over, argv):
     cfg = small_train_cfg(tmp_path, dataset, **over)
     run_dir = tmp_path / "o"
@@ -138,6 +138,22 @@ def test_train_malformed_config_is_one_error_line(dataset, tmp_path, capsys, ove
     assert err.startswith("error: ConfigError:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not run_dir.exists()  # refused before any training output
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"lr": 0.001, "data_root": "\xff"}',         # not UTF-8
+    b'{"seed": ' + b"1" * 5000 + b"}",               # past the int digit limit
+    b"[" * 200000,                                   # nested past the parser's depth
+], ids=["not-utf8", "long-int", "deep-nesting"])
+def test_train_config_not_json_text_is_one_error_line(tmp_path, capsys, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(raw)
+    run_dir = tmp_path / "o"
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(run_dir))
+    assert code == 1
+    assert err.startswith("error: ConfigError:") and err.count("\n") == 1
+    assert "cfg.json" in err
+    assert not run_dir.exists()
 
 
 def test_infer_without_priors_requires_no_prior_variant(dataset, tmp_path, capsys):

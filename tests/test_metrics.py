@@ -1,10 +1,12 @@
 """PSNR/SSIM, report files, and ablation bookkeeping."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from lvfsr.errors import DataError, ShapeError
-from lvfsr.evaluate import (AblationRow, MetricReport, ablation_medians,
+from lvfsr.evaluate import (AblationRow, AblationSpec, MetricReport, ablation_medians,
                             ablation_report_text, eval_dir, final_phase_loss,
                             make_report, parse_loss_log, psnr, read_report,
                             report_text, ssim, write_report)
@@ -172,6 +174,13 @@ def test_read_report_rejects_malformed_line(tmp_path, line):
         read_report(p)
 
 
+def test_read_report_rejects_non_utf8(tmp_path):
+    p = tmp_path / "r.tsv"
+    p.write_bytes(b"a\xff\t1.0\t0.5\n#mean\t1.0\t0.5\n")
+    with pytest.raises(DataError, match=r"r\.tsv: report is not UTF-8"):
+        read_report(p)
+
+
 def test_read_report_requires_footer(tmp_path):
     p = tmp_path / "r.tsv"
     p.write_text("a\t1.0\t0.5\n")
@@ -227,6 +236,14 @@ def test_ablation_medians_and_text():
     assert lines[0] == "variant\tseed\tfinal_loss\tparam_count"
     assert sum(1 for l in lines if l.startswith("#median")) == 2
     assert any(l.startswith("full\t1\t0.3\t50") for l in lines)
+
+
+def test_ablation_spec_pins_the_gate():
+    """The prior-utility gate's settings: retuning any of them moves it."""
+    assert asdict(AblationSpec()) == {
+        "steps": 300, "seeds": (0, 1, 2), "count": 8, "hr_size": 16, "scale": 8,
+        "network": {"l": 2, "c": 24, "heads": 4, "d_c": 64, "d_d": 192, "k": 8},
+        "tokens": 4, "batch": 4, "lr": 2e-3}
 
 
 def test_parse_loss_log(tmp_path):

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lvfsr.errors import ConfigError, DataError, FormatError, ShapeError
-from lvfsr.fusion import (ConcatFusion, FusionParams, concat_fusion_forward,
-                          fusion_forward)
-from lvfsr.network import (Checkpoint, Model, NetworkConfig, VARIANTS,
+from lvfsr.fusion import (BRANCH_ORDER, ConcatFusion, FusionParams,
+                          concat_fusion_forward, fusion_forward)
+from lvfsr.network import (Checkpoint, Model, NetworkConfig, VARIANT_PRIORS, VARIANTS,
                            basic_block, checkpoint_bytes, checkpoint_of,
                            load_checkpoint, model_from_checkpoint,
                            save_checkpoint)
@@ -43,6 +43,12 @@ def test_config_validation():
         NetworkConfig(c=10, heads=4).validate()
     with pytest.raises(ConfigError, match="positive"):
         NetworkConfig(l=0).validate()
+    with pytest.raises(ConfigError, match="'heads' must be positive"):
+        NetworkConfig(heads=0).validate()
+    with pytest.raises(ConfigError, match="'c' must be an integer"):
+        NetworkConfig(c="x").validate()
+    with pytest.raises(ConfigError, match="'c' must be an integer"):
+        NetworkConfig(c=8.0).validate()
 
 
 def test_config_dict_round_trip():
@@ -200,6 +206,32 @@ def test_dropped_branch_parameters_absent():
     assert model.mask_w is None
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_variant_reads_the_priors_its_table_lists(variant):
+    priors = VARIANT_PRIORS[variant]
+    model = Model(CFG, variant, 0)
+    assert model.branches == priors
+    assert ("mask_enc.conv.weight" in model.params) == ("seg" in priors)
+    assert ("depth_enc.conv.weight" in model.params) == ("dep" in priors)
+    for i, bp in enumerate(model.blocks):
+        parts = {n.split(".")[2] for n in model.params if n.startswith(f"block{i}.fusion.")}
+        if not priors:
+            assert bp.fusion is None and not parts
+        elif variant == "model2_concat":
+            assert isinstance(bp.fusion, ConcatFusion) and priors == BRANCH_ORDER
+            assert parts == {"capmap", "desmap", "fuse"}
+        else:
+            assert bp.fusion.enabled() == priors
+            assert parts == {"fuse", *priors}
+    # a bundle is needed if and only if the variant reads a prior
+    if priors:
+        with pytest.raises(DataError, match="requires a prior bundle"):
+            model.forward(lr_image(), None)
+        assert tuple(model.prior_inputs(bundle_for(0))) == priors
+    else:
+        assert model.forward(lr_image(), None).shape == (3, 32, 32)
+
+
 def test_variant_forward_shapes():
     img = lr_image(1)
     b = bundle_for(1)
@@ -292,7 +324,10 @@ def _with_header(buf: bytes, header: bytes) -> bytes:
     {"c": None},                               # a null config value
     {"l": True},                               # a bool is not an integer
     {"c": 8.9},                                # nor is a fractional number
-], ids=["json-list", "null-config-value", "bool-config-value", "float-config-value"])
+    {"heads": 0},                              # checked before c % heads
+    b"[" * 200000,                             # nested past the parser's depth
+], ids=["json-list", "null-config-value", "bool-config-value", "float-config-value",
+        "zero-heads", "deep-nesting"])
 def test_checkpoint_malformed_header_is_format_error(tmp_path, header):
     buf = checkpoint_bytes(checkpoint_of(Model(CFG, "full", 0), 0))
     if isinstance(header, dict):

@@ -1,13 +1,16 @@
 """Training loop: config parsing, loss, determinism, checkpoints, resume."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lvfsr.datagen import generate_dataset
 from lvfsr.errors import ConfigError, DataError, ShapeError
-from lvfsr.network import Model, load_checkpoint
+from lvfsr.network import VARIANTS, Model, NetworkConfig, load_checkpoint
 from lvfsr.numeric import AdamHyper, AdamState, Rng, add, constant, scale
 from lvfsr.priors import load_prior_bundle, read_ppm
 from lvfsr.training import (NetworkFields, TrainConfig, degrade, epoch_order,
@@ -65,6 +68,9 @@ def test_config_network_nesting(tmp_path):
     p.write_text(json.dumps({"network": {"widht": 4}}))
     with pytest.raises(ConfigError, match="widht"):
         load_train_config(p)
+    p.write_text(json.dumps({"network": {"r": 8}}))  # set by `scale`, not here
+    with pytest.raises(ConfigError, match=r"unknown keys \['r'\]"):
+        load_train_config(p)
 
 
 def test_config_bounds():
@@ -91,6 +97,43 @@ def test_config_bounds():
     assert train_config_from_dict({"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
     with pytest.raises(ConfigError, match="'seed' must be in"):
         TrainConfig(seed=-5).validate()  # as after the CLI's --seed override
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=3),
+    max_leaves=6)
+_OF_KIND = {"int": [-1, 0, 1, 2, 4, 8, 16, 2 ** 64],
+            "float": [0.0, 1e-3, 0.5, 1, 10 ** 400, float("inf")],
+            "str": ["data", *VARIANTS]}
+
+
+def _objects(cls, complete=False, **special):
+    """Dicts over the fields of `cls`, whose values are mostly of the field's
+    own kind, so that most draws reach the range checks."""
+    values = {f.name: st.integers(0, 19).flatmap(
+        lambda i, kind=_OF_KIND.get(f.type): _JSON if i == 0 or kind is None
+        else st.sampled_from(kind)) for f in fields(cls)}
+    values.update(special)
+    if complete:
+        return st.fixed_dictionaries(values)
+    return st.fixed_dictionaries({}, optional={**values, "x": _JSON})
+
+
+_TRAIN = _objects(TrainConfig, network=_objects(NetworkFields) | _JSON) | _JSON
+_NETWORK = st.one_of(_objects(NetworkConfig, complete=True), _objects(NetworkConfig), _JSON)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(st.just(train_config_from_dict), _TRAIN)
+       | st.tuples(st.just(NetworkConfig.from_dict), _NETWORK))
+def test_every_json_config_loads_or_is_config_error(case):
+    load, raw = case
+    try:
+        load(raw)
+    except ConfigError:
+        pass
 
 
 # --- pieces -------------------------------------------------------------
@@ -128,6 +171,9 @@ def test_load_dataset_errors(tmp_path, tiny_data):
         load_dataset(tmp_path, "train", 8)
     (tmp_path / "train.txt").write_text("\n")
     with pytest.raises(DataError, match="empty"):
+        load_dataset(tmp_path, "train", 8)
+    (tmp_path / "train.txt").write_bytes(b"tr0000\n\xfftr0001\n")
+    with pytest.raises(DataError, match=r"train\.txt: split manifest is not UTF-8"):
         load_dataset(tmp_path, "train", 8)
     data = load_dataset(tiny_data, "train", 8, k=8)
     ids = read_manifest(tiny_data, "train")
@@ -183,7 +229,7 @@ def test_frozen_batch_descent(tiny_data):
     state = AdamState()
     losses = []
     for t in range(1, 51):
-        losses.append(train_step(model, batch, state, cfg.hyper(), t))
+        losses.append(train_step(model, batch, state, cfg, t))
     # early steps may wobble but never explode; 50 steps must clearly descend
     assert losses[4] <= losses[0] * 1.05
     assert losses[-1] < losses[0]
