@@ -140,7 +140,8 @@ def build_parser() -> _Parser:
                    help="downscale factor")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--informative", action="store_true",
-                   help="derive embeddings from image content instead of noise")
+                   help="derive the description tokens from HR patches instead "
+                        "of noise (mask, depth and caption do not change)")
     p.set_defaults(fn=_cmd_synth_data)
 
     p = sub.add_parser("train", formatter_class=fmt, help="train a model")

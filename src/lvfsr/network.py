@@ -244,19 +244,19 @@ class Model:
         cfg, dt = self.config, self.feat_w.data.dtype
         inputs: Dict[str, Tensor] = {}
         if "seg" in self.branches:
-            if bundle.mask.k != cfg.k:
-                raise DataError(f"bundle mask has {bundle.mask.k} classes, config has {cfg.k}")
-            inputs["seg"] = encode_mask(bundle.mask, self.mask_w, self.mask_b)
+            if bundle.k != cfg.k:
+                raise DataError(f"bundle mask has {bundle.k} classes, config has {cfg.k}")
+            inputs["seg"] = encode_mask(bundle.labels, bundle.k, self.mask_w, self.mask_b)
         if "dep" in self.branches:
             inputs["dep"] = encode_depth(bundle.depth, self.depth_w, self.depth_b)
         if "cap" in self.branches:
-            if bundle.caption.vector.shape != (cfg.d_c,):
-                raise DataError(f"caption width {bundle.caption.vector.shape} != ({cfg.d_c},)")
-            inputs["cap"] = constant(bundle.caption.vector.astype(dt))
+            if bundle.caption.shape != (cfg.d_c,):
+                raise DataError(f"caption width {bundle.caption.shape} != ({cfg.d_c},)")
+            inputs["cap"] = constant(bundle.caption.astype(dt))
         if "des" in self.branches:
-            if bundle.description.tokens.shape[1] != cfg.d_d:
-                raise DataError(f"token width {bundle.description.tokens.shape[1]} != {cfg.d_d}")
-            inputs["des"] = constant(bundle.description.tokens.astype(dt))
+            if bundle.tokens.shape[1] != cfg.d_d:
+                raise DataError(f"token width {bundle.tokens.shape[1]} != {cfg.d_d}")
+            inputs["des"] = constant(bundle.tokens.astype(dt))
         return inputs
 
     def start(self, lr_img: np.ndarray, bundle: Optional[PriorBundle]) -> Tuple[Tensor, Dict]:
@@ -269,7 +269,9 @@ class Model:
         if self.branches:
             if bundle is None:
                 raise DataError(f"variant '{self.variant}' requires a prior bundle")
-            bundle.check_lr_extents(cfg.h, cfg.w)
+            if bundle.labels.shape != (cfg.h, cfg.w):
+                raise DataError(f"bundle '{bundle.image_id}': prior extents "
+                                f"{bundle.labels.shape} != LR extents {(cfg.h, cfg.w)}")
         dt = self.feat_w.data.dtype
         # a value-preserving input dtype: the resize writes its float64
         # result straight into `dt` when the LR image already has it

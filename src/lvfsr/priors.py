@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -24,88 +24,58 @@ MAX_DESC_TOKENS = 77
 
 
 @dataclass
-class SemanticMask:
-    labels: np.ndarray  # (H, W) integer grid
+class PriorBundle:
+    """One image's four priors as plain arrays: `labels` (H, W) mask classes
+    in [0, k), `depth` (H, W) in [0, 1], `caption` (d_c,) and `tokens`
+    (T, d_d) with 1 <= T <= 77."""
+    image_id: str
+    labels: np.ndarray
+    depth: np.ndarray
+    caption: np.ndarray
+    tokens: np.ndarray
     k: int = 8
 
-    def validate(self) -> "SemanticMask":
-        if self.labels.ndim != 2:
-            raise DataError(f"mask labels must be rank 2, got rank {self.labels.ndim}")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.k):
-            raise DataError(f"mask labels outside [0, {self.k}): "
-                            f"range [{self.labels.min()}, {self.labels.max()}]")
+    def validate(self, paths: Optional[Dict[str, str]] = None) -> "PriorBundle":
+        """Raise `DataError` at the first malformed part; with the bundle's
+        files (`_bundle_paths`), the message starts with that part's file."""
+        for part, msg in self._faults():
+            raise DataError(f"{paths[part]}: {msg}" if paths else msg)
         return self
 
-
-@dataclass
-class DepthMap:
-    depth: np.ndarray  # (H, W) in [0, 1]
-
-    def validate(self) -> "DepthMap":
-        if self.depth.ndim != 2:
-            raise DataError(f"depth must be rank 2, got rank {self.depth.ndim}")
-        if self.depth.size and (self.depth.min() < 0.0 or self.depth.max() > 1.0):
-            raise DataError(f"depth values outside [0, 1]: "
-                            f"range [{self.depth.min():.6g}, {self.depth.max():.6g}]")
-        return self
-
-
-@dataclass
-class CaptionEmbedding:
-    vector: np.ndarray  # (d_c,)
-
-    def validate(self) -> "CaptionEmbedding":
-        if self.vector.ndim != 1:
-            raise DataError(f"caption embedding must be rank 1, got rank {self.vector.ndim}")
-        if not np.isfinite(self.vector).all():
-            raise DataError("caption embedding contains non-finite values")
-        return self
-
-
-@dataclass
-class DescriptionEmbedding:
-    tokens: np.ndarray  # (T, d_d)
-
-    def validate(self) -> "DescriptionEmbedding":
-        if self.tokens.ndim != 2:
-            raise DataError(f"description tokens must be rank 2, got rank {self.tokens.ndim}")
-        t = self.tokens.shape[0]
-        if not 1 <= t <= MAX_DESC_TOKENS:
-            raise DataError(f"token count {t} outside [1, {MAX_DESC_TOKENS}]")
-        if not np.isfinite(self.tokens).all():
-            raise DataError("description tokens contain non-finite values")
-        return self
-
-
-@dataclass
-class PriorBundle:
-    image_id: str
-    mask: SemanticMask
-    depth: DepthMap
-    caption: CaptionEmbedding
-    description: DescriptionEmbedding
-
-    def validate(self) -> "PriorBundle":
-        for _, check in self.checks():
-            check()
-        return self
-
-    def checks(self) -> Tuple[Tuple[str, Callable[[], object]], ...]:
-        """Every check `validate` makes, each with the part (as named on
-        disk) whose values it reads."""
-        return (("mask", self.mask.validate), ("depth", self.depth.validate),
-                ("cap", self.caption.validate), ("desc", self.description.validate),
-                ("depth", self._check_depth_extents))
-
-    def _check_depth_extents(self) -> None:
-        if self.mask.labels.shape != self.depth.depth.shape:
-            raise DataError(f"bundle '{self.image_id}': mask extents {self.mask.labels.shape} "
-                            f"!= depth extents {self.depth.depth.shape}")
-
-    def check_lr_extents(self, h: int, w: int) -> None:
-        if self.mask.labels.shape != (h, w):
-            raise DataError(f"bundle '{self.image_id}': prior extents "
-                            f"{self.mask.labels.shape} != LR extents {(h, w)}")
+    def _faults(self) -> Iterator[Tuple[str, str]]:
+        """(part as named on disk, message) for each malformed part. Labels
+        may be floats as read from disk, so they are checked finite and
+        integral before any cast."""
+        lab, dep, cap, tok = self.labels, self.depth, self.caption, self.tokens
+        if lab.ndim != 2:
+            yield "mask", f"mask labels must be rank 2, got rank {lab.ndim}"
+        elif not np.isfinite(lab).all():
+            yield "mask", "mask labels contain non-finite values"
+        elif np.abs(lab - np.rint(lab)).max(initial=0.0) > 1e-6:
+            yield "mask", "mask labels are not integral"
+        elif lab.size and (lab.min() < 0 or lab.max() >= self.k):
+            yield "mask", (f"mask labels outside [0, {self.k}): "
+                           f"range [{lab.min():g}, {lab.max():g}]")
+        if dep.ndim != 2:
+            yield "depth", f"depth must be rank 2, got rank {dep.ndim}"
+        elif not np.isfinite(dep).all():
+            yield "depth", "depth contains non-finite values"
+        elif dep.size and (dep.min() < 0.0 or dep.max() > 1.0):
+            yield "depth", (f"depth values outside [0, 1]: "
+                            f"range [{dep.min():.6g}, {dep.max():.6g}]")
+        if cap.ndim != 1:
+            yield "cap", f"caption embedding must be rank 1, got rank {cap.ndim}"
+        elif not np.isfinite(cap).all():
+            yield "cap", "caption embedding contains non-finite values"
+        if tok.ndim != 2:
+            yield "desc", f"description tokens must be rank 2, got rank {tok.ndim}"
+        elif not 1 <= tok.shape[0] <= MAX_DESC_TOKENS:
+            yield "desc", f"token count {tok.shape[0]} outside [1, {MAX_DESC_TOKENS}]"
+        elif not np.isfinite(tok).all():
+            yield "desc", "description tokens contain non-finite values"
+        if lab.shape != dep.shape:
+            yield "depth", (f"bundle '{self.image_id}': mask extents {lab.shape} "
+                            f"!= depth extents {dep.shape}")
 
 
 def _bundle_paths(dirpath, image_id: str) -> dict:
@@ -116,10 +86,10 @@ def _bundle_paths(dirpath, image_id: str) -> dict:
 def save_prior_bundle(dirpath, bundle: PriorBundle) -> None:
     bundle.validate()
     paths = _bundle_paths(dirpath, bundle.image_id)
-    write_ten(paths["mask"], bundle.mask.labels.astype(np.float32))
-    write_ten(paths["depth"], bundle.depth.depth)
-    write_ten(paths["cap"], bundle.caption.vector)
-    write_ten(paths["desc"], bundle.description.tokens)
+    write_ten(paths["mask"], bundle.labels.astype(np.float32))
+    write_ten(paths["depth"], bundle.depth)
+    write_ten(paths["cap"], bundle.caption)
+    write_ten(paths["desc"], bundle.tokens)
 
 
 def load_prior_bundle(dirpath, image_id: str, k: int = 8) -> PriorBundle:
@@ -128,18 +98,10 @@ def load_prior_bundle(dirpath, image_id: str, k: int = 8) -> PriorBundle:
     for p in paths.values():
         if not os.path.exists(p):
             raise DataError(f"missing prior file: {p}")
-    lab_f = read_ten(paths["mask"])
-    lab = np.rint(lab_f).astype(np.int64)
-    if np.abs(lab_f - lab).max(initial=0.0) > 1e-6:
-        raise DataError(f"{paths['mask']}: labels are not integral")
-    bundle = PriorBundle(image_id, SemanticMask(lab, k), DepthMap(read_ten(paths["depth"])),
-                         CaptionEmbedding(read_ten(paths["cap"])),
-                         DescriptionEmbedding(read_ten(paths["desc"])))
-    for part, check in bundle.checks():
-        try:
-            check()
-        except DataError as e:
-            raise DataError(f"{paths[part]}: {e}") from None
+    bundle = PriorBundle(image_id, read_ten(paths["mask"]), read_ten(paths["depth"]),
+                         read_ten(paths["cap"]), read_ten(paths["desc"]), k)
+    bundle.validate(paths)
+    bundle.labels = np.rint(bundle.labels).astype(np.int64)
     return bundle
 
 
@@ -223,23 +185,21 @@ def synth_priors(hr: np.ndarray, lr: np.ndarray, seed: int, informative: bool,
         desc = rng.stream(f"desc:{image_id}").uniform(
             (tokens, d_d), -1.0, 1.0).astype(np.float32)
 
-    return PriorBundle(image_id, SemanticMask(labels, k),
-                       DepthMap(depth), CaptionEmbedding(cap),
-                       DescriptionEmbedding(desc)).validate()
+    return PriorBundle(image_id, labels, depth, cap, desc, k).validate()
 
 
-def one_hot(mask: SemanticMask) -> np.ndarray:
+def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     """(K, H, W) float32 indicator planes; exactly one 1 per pixel."""
-    return np.identity(mask.k, dtype=np.float32)[mask.labels].transpose(2, 0, 1)
+    return np.identity(k, dtype=np.float32)[labels].transpose(2, 0, 1)
 
 
-def encode_mask(mask: SemanticMask, w: Tensor, b: Tensor) -> Tensor:
+def encode_mask(labels: np.ndarray, k: int, w: Tensor, b: Tensor) -> Tensor:
     """One-hot expansion followed by one shape-preserving 3x3 conv."""
-    return conv2d(constant(_as_dtype(one_hot(mask), w)), w, b, stride=1, pad=1)
+    return conv2d(constant(_as_dtype(one_hot(labels, k), w)), w, b, stride=1, pad=1)
 
 
-def encode_depth(depth: DepthMap, w: Tensor, b: Tensor) -> Tensor:
-    return conv2d(constant(_as_dtype(depth.depth[None], w)), w, b, stride=1, pad=1)
+def encode_depth(depth: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    return conv2d(constant(_as_dtype(depth[None], w)), w, b, stride=1, pad=1)
 
 
 def _as_dtype(arr: np.ndarray, ref: Tensor) -> np.ndarray:
@@ -273,6 +233,8 @@ def read_ppm(path) -> np.ndarray:
         raise FormatError(f"{path}: malformed header fields {fields[1:]}") from None
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}")
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: extents {width}x{height} must be positive")
     need = width * height * 3
     raw = buf[pos:pos + need]
     if len(raw) != need:

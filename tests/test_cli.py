@@ -180,6 +180,17 @@ def test_eval_error_is_single_line(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: DataError:")
 
 
+def test_eval_zero_extent_ppm_is_one_error_line(tmp_path, capsys):
+    for d in ("p", "g"):
+        (tmp_path / d).mkdir()
+        (tmp_path / d / "a.ppm").write_bytes(b"P6\n0 0\n255\n")
+    code, _, err = run_cli(capsys, "eval", "--pred", str(tmp_path / "p"),
+                           "--gt", str(tmp_path / "g"))
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: FormatError:")
+    assert "a.ppm" in err
+
+
 def test_gradcheck_op_reports_pass(capsys):
     code, out, _ = run_cli(capsys, "gradcheck", "--target", "op", "--seed", "0")
     assert code == 0

@@ -103,7 +103,7 @@ def test_forward_rejects_mismatched_priors():
     with pytest.raises(DataError, match="token width"):
         model.forward(lr_image(), bundle_for(d_d=8))
     wrong_hw = bundle_for(h=8, w=8)
-    with pytest.raises(DataError, match="extents"):
+    with pytest.raises(DataError, match=r"prior extents \(8, 8\) != LR extents \(4, 4\)"):
         model.forward(lr_image(), wrong_hw)
 
 

@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lvfsr.datagen import generate_dataset
 from lvfsr.errors import DataError, FormatError
-from lvfsr.numeric import Rng, parameter, write_ten
-from lvfsr.priors import (CaptionEmbedding, DepthMap, DescriptionEmbedding,
-                          PriorBundle, SemanticMask, description_projection,
-                          encode_depth, encode_mask, load_prior_bundle,
-                          luminance, one_hot, read_ppm, save_prior_bundle,
-                          synth_priors, write_ppm)
+from lvfsr.numeric import Rng, parameter, tensor_bytes, write_ten
+from lvfsr.priors import (PriorBundle, description_projection, encode_depth,
+                          encode_mask, load_prior_bundle, luminance, one_hot,
+                          read_ppm, save_prior_bundle, synth_priors, write_ppm)
 
 
 def small_pair(seed=0, hr_size=32, scale=8):
@@ -20,46 +20,52 @@ def small_pair(seed=0, hr_size=32, scale=8):
     return hr.astype(np.float32), lr.astype(np.float32)
 
 
-# --- domain type validation ---------------------------------------------
+def flat_bundle(**parts):
+    """A valid 4x4 bundle, with any of its fields replaced."""
+    fields = dict(image_id="x", labels=np.zeros((4, 4), dtype=np.int64),
+                  depth=np.zeros((4, 4)), caption=np.zeros(8, dtype=np.float32),
+                  tokens=np.zeros((2, 8), dtype=np.float32))
+    fields.update(parts)
+    return PriorBundle(**fields)
+
+
+# --- bundle validation ---------------------------------------------------
 
 def test_mask_rejects_out_of_range_labels():
     with pytest.raises(DataError, match="outside"):
-        SemanticMask(np.array([[0, 8]]), k=8).validate()
+        flat_bundle(labels=np.array([[0, 8]]), depth=np.zeros((1, 2)), k=8).validate()
     with pytest.raises(DataError):
-        SemanticMask(np.array([[-1, 0]]), k=8).validate()
+        flat_bundle(labels=np.array([[-1, 0]]), depth=np.zeros((1, 2)), k=8).validate()
 
 
 def test_mask_rejects_wrong_rank():
     with pytest.raises(DataError, match="rank"):
-        SemanticMask(np.zeros(4, dtype=np.int64)).validate()
+        flat_bundle(labels=np.zeros(4, dtype=np.int64)).validate()
 
 
 def test_depth_rejects_out_of_range():
     with pytest.raises(DataError, match="outside"):
-        DepthMap(np.array([[0.0, 1.5]])).validate()
-    DepthMap(np.array([[0.0, 1.0]])).validate()  # closed interval ok
+        flat_bundle(labels=np.zeros((1, 2)), depth=np.array([[0.0, 1.5]])).validate()
+    # closed interval ok
+    flat_bundle(labels=np.zeros((1, 2)), depth=np.array([[0.0, 1.0]])).validate()
 
 
 def test_caption_rejects_non_finite():
     with pytest.raises(DataError, match="non-finite"):
-        CaptionEmbedding(np.array([1.0, np.inf])).validate()
+        flat_bundle(caption=np.array([1.0, np.inf])).validate()
 
 
 def test_description_token_count_bounds():
     with pytest.raises(DataError, match="token count"):
-        DescriptionEmbedding(np.zeros((0, 4), dtype=np.float32)).validate()
+        flat_bundle(tokens=np.zeros((0, 4), dtype=np.float32)).validate()
     with pytest.raises(DataError, match="token count"):
-        DescriptionEmbedding(np.zeros((78, 4), dtype=np.float32)).validate()
-    DescriptionEmbedding(np.zeros((77, 4), dtype=np.float32)).validate()
+        flat_bundle(tokens=np.zeros((78, 4), dtype=np.float32)).validate()
+    flat_bundle(tokens=np.zeros((77, 4), dtype=np.float32)).validate()
 
 
 def test_bundle_rejects_mismatched_extents():
-    b = PriorBundle("x", SemanticMask(np.zeros((4, 4), dtype=np.int64)),
-                    DepthMap(np.zeros((4, 5))),
-                    CaptionEmbedding(np.zeros(8, dtype=np.float32)),
-                    DescriptionEmbedding(np.zeros((2, 8), dtype=np.float32)))
     with pytest.raises(DataError, match="mask extents"):
-        b.validate()
+        flat_bundle(depth=np.zeros((4, 5))).validate()
 
 
 # --- synth_priors --------------------------------------------------------
@@ -76,37 +82,37 @@ def test_synth_priors_deterministic():
     hr, lr = small_pair()
     a = synth_priors(hr, lr, 3, False, "id0")
     b = synth_priors(hr, lr, 3, False, "id0")
-    assert np.array_equal(a.mask.labels, b.mask.labels)
-    assert np.array_equal(a.depth.depth, b.depth.depth)
-    assert np.array_equal(a.caption.vector, b.caption.vector)
-    assert np.array_equal(a.description.tokens, b.description.tokens)
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.depth, b.depth)
+    assert np.array_equal(a.caption, b.caption)
+    assert np.array_equal(a.tokens, b.tokens)
 
 
 def test_synth_priors_constant_image_single_class():
     hr = np.full((3, 32, 32), 0.4, dtype=np.float32)
     lr = np.full((3, 4, 4), 0.4, dtype=np.float32)
     bundle = synth_priors(hr, lr, 0, False, "c")
-    assert len(np.unique(bundle.mask.labels)) == 1
+    assert len(np.unique(bundle.labels)) == 1
 
 
 def test_synth_priors_mask_is_luma_quantization():
     hr, lr = small_pair(seed=5)
     bundle = synth_priors(hr, lr, 0, False, "q", k=8)
     want = np.clip((luminance(lr.astype(np.float64)) * 8).astype(np.int64), 0, 7)
-    assert np.array_equal(bundle.mask.labels, want)
+    assert np.array_equal(bundle.labels, want)
 
 
 def test_synth_priors_depth_normalized_radial():
     hr, lr = small_pair(seed=2)
-    d = synth_priors(hr, lr, 0, False, "d").depth.depth
+    d = synth_priors(hr, lr, 0, False, "d").depth
     assert d.min() >= 0.0 and d.max() == pytest.approx(1.0)
     assert d.shape == lr.shape[1:]
 
 
 def test_synth_priors_caption_unit_norm_and_id_keyed():
     hr, lr = small_pair()
-    a = synth_priors(hr, lr, 0, False, "one").caption.vector
-    b = synth_priors(hr, lr, 0, False, "two").caption.vector
+    a = synth_priors(hr, lr, 0, False, "one").caption
+    b = synth_priors(hr, lr, 0, False, "two").caption
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-6)
     assert not np.array_equal(a, b)
 
@@ -123,7 +129,7 @@ def test_informative_tokens_reconstruct_patches():
     for t in range(16):
         r, c = divmod(t, cols)
         patch = hr[:, r * 4:(r + 1) * 4, c * 4:(c + 1) * 4].reshape(-1)
-        rec = proj.T @ bundle.description.tokens[t].astype(np.float64)
+        rec = proj.T @ bundle.tokens[t].astype(np.float64)
         assert np.abs(rec - patch).max() < 1e-5
 
 
@@ -151,10 +157,10 @@ def test_bundle_round_trip(tmp_path):
     bundle = synth_priors(hr, lr, 9, False, "rt")
     save_prior_bundle(tmp_path, bundle)
     back = load_prior_bundle(tmp_path, "rt", k=8)
-    assert np.array_equal(back.mask.labels, bundle.mask.labels)
-    assert np.array_equal(back.depth.depth, bundle.depth.depth)
-    assert np.array_equal(back.caption.vector, bundle.caption.vector)
-    assert np.array_equal(back.description.tokens, bundle.description.tokens)
+    assert np.array_equal(back.labels, bundle.labels)
+    assert np.array_equal(back.depth, bundle.depth)
+    assert np.array_equal(back.caption, bundle.caption)
+    assert np.array_equal(back.tokens, bundle.tokens)
 
 
 def test_bundle_save_is_byte_deterministic(tmp_path):
@@ -181,17 +187,19 @@ def test_load_missing_file_names_path(tmp_path):
 def test_load_rejects_out_of_range_depth(tmp_path):
     hr, lr = small_pair()
     save_prior_bundle(tmp_path, synth_priors(hr, lr, 0, False, "z"))
-    write_ten(tmp_path / "z.depth.ten", np.full((4, 4), 1.5, dtype=np.float32))
-    with pytest.raises(DataError, match="z.depth.ten"):
-        load_prior_bundle(tmp_path, "z")
+    for value in (1.5, np.nan):
+        write_ten(tmp_path / "z.depth.ten", np.full((4, 4), value, dtype=np.float32))
+        with pytest.raises(DataError, match="z.depth.ten"):
+            load_prior_bundle(tmp_path, "z")
 
 
 def test_load_rejects_fractional_labels(tmp_path):
     hr, lr = small_pair()
     save_prior_bundle(tmp_path, synth_priors(hr, lr, 0, False, "f"))
-    write_ten(tmp_path / "f.mask.ten", np.full((4, 4), 0.5, dtype=np.float32))
-    with pytest.raises(DataError, match="not integral"):
-        load_prior_bundle(tmp_path, "f")
+    for value, match in ((0.5, "not integral"), (np.nan, "non-finite"), (1e30, "outside")):
+        write_ten(tmp_path / "f.mask.ten", np.full((4, 4), value, dtype=np.float32))
+        with pytest.raises(DataError, match=f"f.mask.ten: .*{match}"):
+            load_prior_bundle(tmp_path, "f")
 
 
 def test_load_rejects_label_above_k(tmp_path):
@@ -202,31 +210,61 @@ def test_load_rejects_label_above_k(tmp_path):
         load_prior_bundle(tmp_path, "k", k=4)
 
 
-def test_check_lr_extents():
+@pytest.fixture(scope="module")
+def fuzz_bundle_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("bundle-fuzz")
     hr, lr = small_pair()
-    bundle = synth_priors(hr, lr, 0, False, "e")
-    bundle.check_lr_extents(4, 4)
-    with pytest.raises(DataError, match="extents"):
-        bundle.check_lr_extents(8, 8)
+    save_prior_bundle(d, synth_priors(hr, lr, 0, False, "u", d_c=8, d_d=8, tokens=4))
+    return d
+
+
+def _framed(shape, raw):
+    """A well-framed `.ten` payload of arbitrary float32 bit patterns."""
+    n = int(np.prod(shape))
+    return tensor_bytes(np.frombuffer(raw[:4 * n].ljust(4 * n, b"\0"), "<f4").reshape(shape))
+
+
+# the bundle's own shapes (mask and depth, caption, tokens) and arbitrary ones
+_SHAPES = st.one_of(st.sampled_from([(4, 4), (8,), (4, 8)]),
+                    st.lists(st.integers(0, 5), max_size=3).map(tuple))
+_PAYLOADS = st.one_of(st.binary(max_size=96),
+                      st.builds(_framed, _SHAPES, st.binary(min_size=128, max_size=128)))
+
+
+@given(part=st.sampled_from(["mask", "depth", "cap", "desc"]), payload=_PAYLOADS)
+@settings(max_examples=100, deadline=None)
+def test_load_prior_bundle_fuzz_fails_typed_naming_the_file(fuzz_bundle_dir, part, payload):
+    target = fuzz_bundle_dir / f"u.{part}.ten"
+    original = target.read_bytes()
+    target.write_bytes(payload)
+    try:
+        bundle = load_prior_bundle(fuzz_bundle_dir, "u")
+    except (DataError, FormatError) as e:
+        # a mask whose extents differ from the depth's is reported on the depth file
+        named = "u.depth.ten" if "mask extents" in str(e) else target.name
+        assert str(e).startswith(f"{fuzz_bundle_dir / named}:"), str(e)
+    else:
+        assert bundle.labels.dtype == np.int64
+    finally:
+        target.write_bytes(original)
 
 
 # --- encoders -------------------------------------------------------------
 
 def test_one_hot_exactly_one_per_pixel():
-    m = SemanticMask(np.array([[0, 3], [7, 1]]), k=8)
-    oh = one_hot(m)
+    oh = one_hot(np.array([[0, 3], [7, 1]]), 8)
     assert oh.shape == (8, 2, 2)
     assert np.array_equal(oh.sum(axis=0), np.ones((2, 2)))
     assert oh[3, 0, 1] == 1.0 and oh[7, 1, 0] == 1.0
 
 
 def test_encode_mask_matches_manual_conv():
-    m = SemanticMask(Rng(0).integers(16, 8).reshape(4, 4), k=8)
+    m = Rng(0).integers(16, 8).reshape(4, 4)
     w = parameter(Rng(1).uniform((5, 8, 3, 3), -0.2, 0.2), "w")
     b = parameter(np.zeros(5), "b")
-    out = encode_mask(m, w, b)
+    out = encode_mask(m, 8, w, b)
     assert out.shape == (5, 4, 4)
-    oh = one_hot(m).astype(np.float64)
+    oh = one_hot(m, 8).astype(np.float64)
     padded = np.pad(oh, ((0, 0), (1, 1), (1, 1)))
     want = np.zeros((5, 4, 4))
     for co in range(5):
@@ -237,7 +275,7 @@ def test_encode_mask_matches_manual_conv():
 
 
 def test_encode_depth_shape():
-    d = DepthMap(Rng(2).uniform((6, 5)))
+    d = Rng(2).uniform((6, 5))
     w = parameter(Rng(3).uniform((4, 1, 3, 3), -0.2, 0.2), "w")
     b = parameter(Rng(4).uniform((4,)), "b")
     assert encode_depth(d, w, b).shape == (4, 6, 5)
@@ -296,6 +334,14 @@ def test_ppm_rejects_truncated_payload(tmp_path):
     p.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
     with pytest.raises(FormatError, match="payload"):
         read_ppm(p)
+
+
+def test_ppm_rejects_zero_extents(tmp_path):
+    for header in (b"P6\n0 0\n255\n", b"P6\n0 2\n255\n", b"P6\n2 0\n255\n"):
+        p = tmp_path / "z.ppm"
+        p.write_bytes(header)
+        with pytest.raises(FormatError, match=f"{p}: extents .* must be positive"):
+            read_ppm(p)
 
 
 def test_ppm_rejects_wrong_maxval(tmp_path):
