@@ -34,8 +34,8 @@ NETWORK_BATCH = 16   # finite-difference points stacked per batched evaluation
 CHECK_WORKERS = 2    # processes sharing the finite differences of network
 
 
-def _stack(ts: List[Tensor]) -> Tensor:
-    return constant(np.stack([t.data for t in ts]))
+def _join(ts: List[Tensor]) -> Tensor:
+    return constant(np.concatenate([t.data for t in ts]))
 
 
 def _probe(rng: Rng) -> Callable[[Tensor], Tensor]:
@@ -137,9 +137,9 @@ def fusion_builder(seed: int):
     fp.fuse_w.data = rr.stream("fuse_w").uniform(fp.fuse_w.data.shape, -0.2, 0.2)
     fp.fuse_b.data = rr.stream("fuse_b").uniform(fp.fuse_b.data.shape, -0.2, 0.2)
     params = dict(store.params)
-    for name, shape in [("input.feat", (c, h, w)), ("input.seg", (c, h, w)),
-                        ("input.dep", (c, h, w)), ("input.cap", (d["d_c"],)),
-                        ("input.des", (t, d["d_d"]))]:
+    for name, shape in [("input.feat", (1, c, h, w)), ("input.seg", (1, c, h, w)),
+                        ("input.dep", (1, c, h, w)), ("input.cap", (1, d["d_c"])),
+                        ("input.des", (1, t, d["d_d"]))]:
         params[name] = parameter(rr.stream(name).uniform(shape, -1.0, 1.0), name)
     probe = _probe(Rng(seed))
     feat = params["input.feat"]
@@ -187,7 +187,7 @@ def network_builder(seed: int):
     parameter, each point re-runs only the stage that owns it, found by its
     name prefix; in a fusion stage only the parameter's own branch re-runs,
     merged with the other branches' base outputs. The stage outputs of up to
-    NETWORK_BATCH points are stacked on a batch axis, and the rest of the
+    NETWORK_BATCH points are joined on the batch axis, and the rest of the
     list runs once for the whole stack. One-time comparisons against
     Model.forward pin the base evaluation exactly, and the batched
     evaluation of every stage part and prior encoder to float rounding.
@@ -237,17 +237,15 @@ def network_builder(seed: int):
                     outs.append(st.run(x0, ctx))
                 ctxs.append(ctx)
                 flat[idx] = orig
-            images = [y.data for y in outs]
+            x = _join(outs)
             if k + 1 < len(stages):  # the rest of the list, once for the stack
                 # per-pixel priors (the feature's extents) follow the batch axis
-                stacked = {key: _stack([c[key] for c in ctxs])
+                stacked = {key: _join([c[key] for c in ctxs])
                            if isinstance(v, Tensor) and v.shape == xs[1].shape else v
                            for key, v in base_ctx.items()}
-                x = _stack(outs)
                 for later in stages[k + 1:]:
                     x = later.run(x, stacked)
-                images = x.data
-            losses += [float(probe(constant(y)).data) for y in images]
+            losses += [float(probe(constant(y)).data) for y in x.data]
         return losses
 
     def forward(changed=None, points=None):
@@ -264,7 +262,7 @@ def network_builder(seed: int):
             x = st.run(x, ctx)
         base_ctx.clear()
         base_ctx.update(ctx)
-        return probe(x)
+        return probe(reshape(x, x.shape[1:]))
 
     ref = probe(model.forward(lr_img, bundle))
     if not np.array_equal(ref.data, forward().data):

@@ -101,9 +101,9 @@ def build_fusion_params(store: ParamStore, prefix: str, c: int, d_c: int,
 def _spatial_gate(feat: Tensor, prior: Tensor, g: ConvGate) -> Tensor:
     if feat.shape != prior.shape:
         raise ShapeError(f"gate branch: feature {feat.shape} vs prior {prior.shape}")
-    a = conv2d(concat([feat, prior], axis=-3), g.w1, g.b1, stride=1, pad=1)
+    a = conv2d(concat([feat, prior], axis=1), g.w1, g.b1, stride=1, pad=1)
     a = sigmoid(conv2d(gelu(a), g.w2, g.b2, stride=1, pad=1))
-    return mul(feat, a)  # a is (..., 1, H, W), broadcast over channels
+    return mul(feat, a)  # a is (N, 1, H, W), broadcast over channels
 
 
 def seg_attention(feat: Tensor, seg_feat: Tensor, g: ConvGate) -> Tensor:
@@ -115,37 +115,33 @@ def dep_attention(feat: Tensor, dep_feat: Tensor, g: ConvGate) -> Tensor:
 
 
 def cap_attention(feat: Tensor, cap_vec: Tensor, g: ChannelGate) -> Tensor:
-    """Global channel gate from the pooled caption embedding."""
+    """Global channel gate from the caption embedding: an (N, d_c) caption
+    gates each image, a (1, d_c) one every image of the batch."""
     gate = sigmoid(linear(cap_vec, g.w, g.b))
-    c = feat.shape[-3]
-    return mul(feat, reshape(gate, (c, 1, 1)))
-
-
-def _swap_last(lead: int) -> tuple:
-    return tuple(range(lead)) + (lead + 1, lead)
+    return mul(feat, reshape(gate, gate.shape + (1, 1)))
 
 
 def _pixels(feat: Tensor) -> Tensor:
-    """(..., C, H, W) feature map to (..., H*W, C) pixel tokens."""
-    *lead, c, h, w = feat.shape
-    return transpose(reshape(feat, (*lead, c, h * w)), _swap_last(len(lead)))
+    """(N, C, H, W) feature map to (N, H*W, C) pixel tokens."""
+    n, c, h, w = feat.shape
+    return transpose(reshape(feat, (n, c, h * w)), (0, 2, 1))
 
 
 def _unpixels(toks: Tensor, h: int, w: int) -> Tensor:
-    """(..., H*W, C) pixel tokens back to a (..., C, H, W) feature map."""
-    *lead, _, c = toks.shape
-    return reshape(transpose(toks, _swap_last(len(lead))), (*lead, c, h, w))
+    """(N, H*W, C) pixel tokens back to an (N, C, H, W) feature map."""
+    n, _, c = toks.shape
+    return reshape(transpose(toks, (0, 2, 1)), (n, c, h, w))
 
 
 def des_attention(feat: Tensor, tokens: Tensor, ca: CrossAttention) -> Tensor:
     """Two-stage cross attention.
 
     Stage 1 follows the stated query/key/value assignment: description tokens
-    query the pixel features, producing image-grounded token features U.
-    Stage 2 flips direction so each pixel queries U, which re-spatializes the
-    token content to a (C, H, W) map.
+    (N, T, d_d) query the pixel features, producing image-grounded token
+    features U. Stage 2 flips direction so each pixel queries U, which
+    re-spatializes the token content to an (N, C, H, W) map.
     """
-    if tokens.shape[0] < 1:
+    if tokens.shape[-2] < 1:
         raise ShapeError("description branch requires at least one token")
     h, w = feat.shape[-2:]
     px = _pixels(feat)
@@ -179,7 +175,7 @@ def fusion_branch(name: str, feat: Tensor, inputs: Dict[str, Tensor],
 
 def fusion_merge(feat: Tensor, outs: List[Tensor], p: FusionParams) -> Tensor:
     """feat + conv1x1(concat[outs..., feat]), outs in BRANCH_ORDER."""
-    fused = conv2d(concat(outs + [feat], axis=-3), p.fuse_w, p.fuse_b, stride=1, pad=0)
+    fused = conv2d(concat(outs + [feat], axis=1), p.fuse_w, p.fuse_b, stride=1, pad=0)
     return add(feat, fused)
 
 
@@ -187,8 +183,8 @@ def fusion_forward(feat: Tensor, inputs: Dict[str, Tensor],
                    p: FusionParams) -> Tensor:
     """feat + conv1x1(concat[branch outputs..., feat]) over enabled branches.
 
-    feat may carry a leading batch axis (N, C, H, W); the spatial priors then
-    match it and the embedding priors are shared across the batch.
+    feat is (N, C, H, W), and so are the spatial priors. The caption (N, d_c)
+    and the tokens (N, T, d_d) may also have N = 1, which serves every image.
     """
     return fusion_merge(feat, [fusion_branch(n, feat, inputs, p) for n in p.enabled()], p)
 
@@ -214,11 +210,11 @@ def build_concat_fusion(store: ParamStore, prefix: str, c: int, d_c: int,
 def concat_fusion_forward(feat: Tensor, inputs: Dict[str, Tensor],
                           p: ConcatFusion) -> Tensor:
     """Broadcast the embedding priors spatially, concat all five, project."""
-    c, h, w = feat.shape
-    ones = constant(np.ones((c, h, w), dtype=feat.data.dtype))
-    capmap = mul(ones, reshape(linear(inputs["cap"], p.cap_w, p.cap_b), (c, 1, 1)))
-    pooled = global_avg_pool(inputs["des"])
-    desmap = mul(ones, reshape(linear(pooled, p.des_w, p.des_b), (c, 1, 1)))
-    stacked = concat([inputs["seg"], inputs["dep"], capmap, desmap, feat], axis=0)
+    ones = constant(np.ones(feat.shape, dtype=feat.data.dtype))
+    cap = linear(inputs["cap"], p.cap_w, p.cap_b)
+    capmap = mul(ones, reshape(cap, cap.shape + (1, 1)))
+    des = linear(global_avg_pool(inputs["des"]), p.des_w, p.des_b)
+    desmap = mul(ones, reshape(des, des.shape + (1, 1)))
+    stacked = concat([inputs["seg"], inputs["dep"], capmap, desmap, feat], axis=1)
     fused = conv2d(stacked, p.fuse_w, p.fuse_b, stride=1, pad=0)
     return add(feat, fused)

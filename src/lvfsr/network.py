@@ -25,7 +25,7 @@ from .fusion import (AttnProj, BRANCH_ORDER, FusionParams, _pixels, _unpixels,
                      build_concat_fusion, build_fusion_params,
                      concat_fusion_forward, fusion_forward)
 from .numeric import (Tensor, add, constant, conv2d, gelu, layer_norm, linear,
-                      pixel_shuffle, scaled_dot_attention, tensor_bytes)
+                      pixel_shuffle, reshape, scaled_dot_attention, tensor_bytes)
 from .numeric.tenio import (atomic_write, tensor_extents, tensor_from_bytes,
                             tensor_view)
 from .params import ParamStore
@@ -241,6 +241,8 @@ class Model:
             p.data = p.data.astype(dtype)
 
     def prior_inputs(self, bundle: PriorBundle) -> Dict[str, Tensor]:
+        """One image's encoded priors by branch, each a batch of one: maps
+        (1, c, h, w), caption (1, d_c), tokens (1, T, d_d)."""
         cfg, dt = self.config, self.feat_w.data.dtype
         inputs: Dict[str, Tensor] = {}
         if "seg" in self.branches:
@@ -252,16 +254,17 @@ class Model:
         if "cap" in self.branches:
             if bundle.caption.shape != (cfg.d_c,):
                 raise DataError(f"caption width {bundle.caption.shape} != ({cfg.d_c},)")
-            inputs["cap"] = constant(bundle.caption.astype(dt))
+            inputs["cap"] = constant(bundle.caption.astype(dt)[None])
         if "des" in self.branches:
             if bundle.tokens.shape[1] != cfg.d_d:
                 raise DataError(f"token width {bundle.tokens.shape[1]} != {cfg.d_d}")
-            inputs["des"] = constant(bundle.tokens.astype(dt))
+            inputs["des"] = constant(bundle.tokens.astype(dt)[None])
         return inputs
 
     def start(self, lr_img: np.ndarray, bundle: Optional[PriorBundle]) -> Tuple[Tensor, Dict]:
-        """The entry stage's input and a fresh context for one image: the
-        bundle and the bicubic base that recon adds to its output."""
+        """The entry stage's input, x (1, 3, h, w), and a fresh context for
+        one image: the bundle and the (1, 3, H, W) bicubic base that recon
+        adds to its output."""
         cfg = self.config
         lr = np.asarray(lr_img)
         if lr.shape != (3, cfg.h, cfg.w):
@@ -277,7 +280,7 @@ class Model:
         # result straight into `dt` when the LR image already has it
         src = lr.astype(np.promote_types(lr.dtype, dt), copy=False)
         base = bicubic_resize(src, cfg.h * cfg.r, cfg.w * cfg.r).astype(dt, copy=False)
-        return constant(lr.astype(dt)), {"bundle": bundle, "base": constant(base)}
+        return constant(lr.astype(dt)[None]), {"bundle": bundle, "base": constant(base[None])}
 
     def stages(self) -> List[Stage]:
         """The forward in order: entry (writes the encoded priors, keyed by
@@ -297,10 +300,12 @@ class Model:
         return out
 
     def forward(self, lr_img: np.ndarray, bundle: Optional[PriorBundle]) -> Tensor:
+        """One (3, h, w) LR image to its (3, r*h, r*w) prediction. Every
+        stage runs on a batch of one; the batch axis goes after the last."""
         x, context = self.start(lr_img, bundle)
         for stage in self.stages():
             x = stage.run(x, context)
-        return x
+        return reshape(x, x.shape[1:])
 
     def _entry(self, x: Tensor, context: Dict) -> Tensor:
         context.update(self.prior_inputs(context["bundle"]))

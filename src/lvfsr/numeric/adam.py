@@ -45,10 +45,7 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, Tensor],
     c2 = 1.0 - hyper.beta2 ** t
     for name, p in params.items():
         gt = grads.get(name)
-        if gt is None:
-            g = 0.0
-        else:
-            g = gt.data if isinstance(gt, Tensor) else np.asarray(gt)
+        g = 0.0 if gt is None else gt.data
         m = state.m.get(name)
         if m is None:
             m = state.m[name] = np.zeros_like(p.data)

@@ -219,14 +219,13 @@ def _conv_index(cin: int, h: int, w: int, kh: int, kw: int,
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
            stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation over NCHW (or unbatched CHW) with zero padding.
+    """2-D cross-correlation over (N, C, H, W) with zero padding.
 
     The windows are gathered into one column matrix for a single matrix
     product; 1x1 kernels skip the gather entirely. The input gradient is
     only formed when `x` requires one.
     """
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: rank {xd.ndim} input / rank {w.data.ndim} kernel")
     n, cin, h, wd_ = xd.shape
@@ -261,15 +260,14 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
-        g4 = g[None] if squeeze else g
         gx = None
         if mat is None:
-            gflat = g4.reshape(n, cout, ho * wo)
-            gw = np.tensordot(g4, xd, axes=([0, 2, 3], [0, 2, 3])).reshape(w.data.shape)
+            gflat = g.reshape(n, cout, ho * wo)
+            gw = np.tensordot(g, xd, axes=([0, 2, 3], [0, 2, 3])).reshape(w.data.shape)
             if x.requires_grad:
                 gx = (w.data.reshape(cout, cin).T @ gflat).reshape(n, cin, h, wd_)
         else:
-            gmat = np.ascontiguousarray(g4.transpose(0, 2, 3, 1)).reshape(
+            gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(
                 n * ho * wo, cout)
             gw = (gmat.T @ mat).reshape(w.data.shape)
             if x.requires_grad:
@@ -285,14 +283,11 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
                 gz[:, size] = 0
                 gx = np.add.reduce(gz.take(taps, axis=1), axis=1, initial=0.0)
                 gx = gx[:, :chw].reshape(n, cin, h, wd_)
-        if squeeze and gx is not None:
-            gx = gx[0]
         if b is None:
             return gx, gw
-        return gx, gw, g4.sum(axis=(0, 2, 3))
+        return gx, gw, g.sum(axis=(0, 2, 3))
 
-    out = y[0] if squeeze else y
-    return make_node(out, "conv2d", parents, bwd)
+    return make_node(y, "conv2d", parents, bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -416,16 +411,12 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Ten
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over spatial axes (NCHW/CHW) or over tokens (T, D)."""
+    """Mean over the spatial axes of (N, C, H, W) maps, or over the token
+    axis of (..., T, D) tokens."""
     nd = x.data.ndim
-    if nd == 4:
-        axes: tuple = (2, 3)
-    elif nd == 3:
-        axes = (1, 2)
-    elif nd == 2:
-        axes = (0,)
-    else:
+    if nd < 2:
         raise ShapeError(f"global_avg_pool: unsupported rank {nd}")
+    axes = (2, 3) if nd == 4 else (nd - 2,)
     cnt = 1
     for ax in axes:
         cnt *= x.data.shape[ax]
@@ -440,17 +431,15 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:
     """Channel-to-space rearrangement: (N, C*r*r, H, W) -> (N, C, H*r, W*r)."""
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    n, c2, h, w = xd.shape
+    if x.data.ndim != 4:
+        raise ShapeError(f"pixel_shuffle: rank {x.data.ndim} input, expected (N, C, H, W)")
+    n, c2, h, w = x.data.shape
     if c2 % (r * r):
         raise ShapeError(f"pixel_shuffle: {c2} channels not divisible by r^2 = {r * r}")
     c = c2 // (r * r)
-    y = xd.reshape(n, c, r, r, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h * r, w * r)
+    y = x.data.reshape(n, c, r, r, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h * r, w * r)
 
     def bwd(g):
-        g4 = g[None] if squeeze else g
-        gi = g4.reshape(n, c, h, r, w, r).transpose(0, 1, 3, 5, 2, 4).reshape(n, c2, h, w)
-        return (gi[0] if squeeze else gi,)
+        return (g.reshape(n, c, h, r, w, r).transpose(0, 1, 3, 5, 2, 4).reshape(n, c2, h, w),)
 
-    return make_node(y[0] if squeeze else y, "pixel_shuffle", (x,), bwd)
+    return make_node(y, "pixel_shuffle", (x,), bwd)

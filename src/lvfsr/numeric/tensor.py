@@ -57,10 +57,9 @@ def parameter(data: np.ndarray, name: str) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
 
-def constant(data, dtype=None) -> Tensor:
+def constant(data) -> Tensor:
     """A leaf excluded from differentiation."""
-    arr = np.asarray(data, dtype=dtype) if dtype is not None else np.asarray(data)
-    return Tensor(arr)
+    return Tensor(np.asarray(data))
 
 
 _skip_finite_checks = False
@@ -173,7 +172,6 @@ def backward(loss: Tensor) -> dict:
 
 
 def zero_grads(params) -> None:
-    """Clear accumulated gradients on an iterable or mapping of tensors."""
-    values = params.values() if hasattr(params, "values") else params
-    for p in values:
+    """Clear accumulated gradients on a mapping of tensors."""
+    for p in params.values():
         p.grad = None

@@ -194,12 +194,14 @@ def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def encode_mask(labels: np.ndarray, k: int, w: Tensor, b: Tensor) -> Tensor:
-    """One-hot expansion followed by one shape-preserving 3x3 conv."""
-    return conv2d(constant(_as_dtype(one_hot(labels, k), w)), w, b, stride=1, pad=1)
+    """One-hot expansion followed by one shape-preserving 3x3 conv: a
+    (1, C, H, W) map."""
+    return conv2d(constant(_as_dtype(one_hot(labels, k)[None], w)), w, b, stride=1, pad=1)
 
 
 def encode_depth(depth: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
-    return conv2d(constant(_as_dtype(depth[None], w)), w, b, stride=1, pad=1)
+    """One shape-preserving 3x3 conv of the depth plane: a (1, C, H, W) map."""
+    return conv2d(constant(_as_dtype(depth[None, None], w)), w, b, stride=1, pad=1)
 
 
 def _as_dtype(arr: np.ndarray, ref: Tensor) -> np.ndarray:

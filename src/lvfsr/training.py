@@ -160,7 +160,6 @@ def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 
 
 def run_training(cfg: TrainConfig, out_dir, resume: Optional[str] = None,
-                 data_root: Optional[str] = None,
                  max_steps: Optional[int] = None) -> Checkpoint:
     """Train per config; returns the final checkpoint (also written to disk).
 
@@ -169,11 +168,10 @@ def run_training(cfg: TrainConfig, out_dir, resume: Optional[str] = None,
     ckpt_<step>.lvck at every checkpoint interval, ckpt_final.lvck at the end.
     """
     cfg.validate()
-    root = data_root or cfg.data_root
     out = os.fspath(out_dir)
     os.makedirs(out, exist_ok=True)
 
-    data = load_dataset(root, "train", cfg.scale, k=cfg.network.k,
+    data = load_dataset(cfg.data_root, "train", cfg.scale, k=cfg.network.k,
                         with_priors=bool(VARIANT_PRIORS[cfg.variant]))
     n = len(data)
     if n < cfg.batch:

@@ -151,12 +151,12 @@ def test_oracle_suite():
         cin, cout = 1 + i % 3, 1 + (i + 1) % 3
         k, stride, pad = [(1, 1, 0), (3, 1, 1), (3, 2, 1), (2, 2, 0)][i % 4]
         h = 4 + i % 5
-        x = r.stream("x").uniform((cin, h, h), -1, 1)
+        x = r.stream("x").uniform((1, cin, h, h), -1, 1)
         w = r.stream("w").uniform((cout, cin, k, k), -1, 1)
         b = r.stream("b").uniform((cout,), -1, 1)
         got = conv2d(constant(x), parameter(w, "w"), parameter(b, "b"),
-                     stride=stride, pad=pad).data
-        want = _conv_oracle(x, w, b, stride, pad)
+                     stride=stride, pad=pad).data[0]
+        want = _conv_oracle(x[0], w, b, stride, pad)
         err = np.abs(got - want).max() / max(np.abs(want).max(), 1e-12)
         if err > 1e-6:
             fails.append(f"conv2d[{i}]={err:.2e}")

@@ -58,11 +58,13 @@ def test_traced_forward_counts_per_image_calls():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        model.forward(lr, bundle)
+        y = model.forward(lr, bundle)
         calls = dict(tracer.calls)
     finally:
         tracer.uninstall()
     assert (ops.conv2d, Model.forward) == original
+    # infer-x16 marks its outputs incorrect unless each is one (3, HR, HR) image
+    assert y.shape == (3, 128, 128)
     # feature conv, two prior encoders, 3 blocks x (seg 2 + dep 2 + fuse), recon
     assert calls["ops.conv2d.fwd"] == 19
     # 3 blocks x (description 2 + transformer pair 2)

@@ -14,17 +14,17 @@ from lvfsr.params import ParamStore
 C, H, W, T, D_C, D_D, HEADS = 6, 5, 4, 3, 10, 12, 2
 
 
-def feature(seed, shape=(C, H, W)):
+def feature(seed, shape=(1, C, H, W)):
     return constant(Rng(seed).uniform(shape, -1.0, 1.0))
 
 
 def branch_inputs(seed):
     r = Rng(seed)
     return {
-        "seg": constant(r.stream("seg").uniform((C, H, W), -1.0, 1.0)),
-        "dep": constant(r.stream("dep").uniform((C, H, W), -1.0, 1.0)),
-        "cap": constant(r.stream("cap").uniform((D_C,), -1.0, 1.0)),
-        "des": constant(r.stream("des").uniform((T, D_D), -1.0, 1.0)),
+        "seg": constant(r.stream("seg").uniform((1, C, H, W), -1.0, 1.0)),
+        "dep": constant(r.stream("dep").uniform((1, C, H, W), -1.0, 1.0)),
+        "cap": constant(r.stream("cap").uniform((1, D_C), -1.0, 1.0)),
+        "des": constant(r.stream("des").uniform((1, T, D_D), -1.0, 1.0)),
     }
 
 
@@ -35,20 +35,25 @@ def fresh_params(seed=0, branches=BRANCH_ORDER):
 
 
 def test_fusion_forward_batch_axis_matches_per_image():
+    # both fusion kinds, with the caption and tokens shared by the batch
+    # (a batch axis of 1) and with one caption and token set per image
     _, p = fresh_params(seed=21)
-    for t in (p.fuse_w, p.fuse_b):  # open the zero-initialised projection
+    cat = build_concat_fusion(ParamStore(21), "cf", C, D_C, D_D)
+    for t in (p.fuse_w, p.fuse_b, cat.fuse_w, cat.fuse_b):  # open the zero-init projections
         t.data = Rng(22).stream(str(t.shape)).uniform(t.shape, -0.3, 0.3)
     feats = [feature(23 + i) for i in range(3)]
     priors = [branch_inputs(26 + i) for i in range(3)]
-    shared = priors[0]
-    stacked = {name: constant(np.stack([pr[name].data for pr in priors]))
-               for name in ("seg", "dep")}
-    stacked.update(cap=shared["cap"], des=shared["des"])
-    got = fusion_forward(constant(np.stack([f.data for f in feats])), stacked, p).data
-    assert got.shape == (3, C, H, W)
-    for i, (f, pr) in enumerate(zip(feats, priors)):
-        one = fusion_forward(f, dict(pr, cap=shared["cap"], des=shared["des"]), p).data
-        np.testing.assert_allclose(got[i], one, rtol=0, atol=1e-14)
+    batch = constant(np.concatenate([f.data for f in feats]))
+    joined = {name: constant(np.concatenate([pr[name].data for pr in priors]))
+              for name in BRANCH_ORDER}
+    shared = {"cap": priors[0]["cap"], "des": priors[0]["des"]}
+    for forward, params in ((fusion_forward, p), (concat_fusion_forward, cat)):
+        for embed in (shared, {}):
+            got = forward(batch, dict(joined, **embed), params).data
+            assert got.shape == (3, C, H, W)
+            for i, (f, pr) in enumerate(zip(feats, priors)):
+                one = forward(f, dict(pr, **embed), params).data
+                np.testing.assert_allclose(got[i:i + 1], one, rtol=0, atol=1e-14)
 
 
 def test_branch_order_is_fixed():
@@ -101,7 +106,7 @@ def test_spatial_gate_output_bounded_by_feature():
 def test_spatial_gate_shape_mismatch():
     _, p = fresh_params()
     with pytest.raises(ShapeError, match="gate branch"):
-        seg_attention(feature(0), feature(1, (C, H, W + 1)), p.seg)
+        seg_attention(feature(0), feature(1, (1, C, H, W + 1)), p.seg)
 
 
 def test_cap_gate_zero_weights_halve_feature():
@@ -113,11 +118,11 @@ def test_cap_gate_zero_weights_halve_feature():
 
 
 def test_cap_gate_is_per_channel():
-    feat = constant(np.ones((C, H, W)))
+    feat = constant(np.ones((1, C, H, W)))
     _, p = fresh_params(seed=15)
     out = cap_attention(feat, branch_inputs(16)["cap"], p.cap)
     for ch in range(C):
-        plane = out.data[ch]
+        plane = out.data[0, ch]
         assert plane.min() == plane.max()  # constant within a channel
 
 
@@ -151,21 +156,21 @@ def test_des_attention_matches_numpy_oracle():
 
     px = feat.data.reshape(C, H * W).T.astype(np.float64)
     s1, s2 = p.des.stage1, p.des.stage2
-    u = _mha_oracle(lin(toks.data.astype(np.float64), s1.qw, s1.qb),
+    u = _mha_oracle(lin(toks.data[0].astype(np.float64), s1.qw, s1.qb),
                     lin(px, s1.kw, s1.kb), lin(px, s1.vw, s1.vb), HEADS)
     u = lin(u, s1.ow, s1.ob)
     o = _mha_oracle(lin(px, s2.qw, s2.qb), lin(u, s2.kw, s2.kb),
                     lin(u, s2.vw, s2.vb), HEADS)
     o = lin(o, s2.ow, s2.ob)
-    want = o.T.reshape(C, H, W)
+    want = o.T.reshape(1, C, H, W)
     assert np.abs(got - want).max() < 1e-12
 
 
 def test_des_attention_single_token_ok():
     feat = feature(20)
     _, p = fresh_params(seed=21)
-    one = constant(Rng(22).uniform((1, D_D), -1.0, 1.0))
-    assert des_attention(feat, one, p.des).shape == (C, H, W)
+    one = constant(Rng(22).uniform((1, 1, D_D), -1.0, 1.0))
+    assert des_attention(feat, one, p.des).shape == (1, C, H, W)
 
 
 def test_branches_share_no_parameters():

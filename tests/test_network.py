@@ -16,7 +16,7 @@ from lvfsr.network import (Checkpoint, Model, NetworkConfig, VARIANT_PRIORS, VAR
                            load_checkpoint, model_from_checkpoint,
                            save_checkpoint)
 from lvfsr.numeric import (Rng, add, backward, constant, conv2d, mean_all,
-                           pixel_shuffle, tensor_bytes, zero_grads)
+                           pixel_shuffle, reshape, tensor_bytes, zero_grads)
 from lvfsr.priors import synth_priors
 from lvfsr.resample import bicubic_resize
 
@@ -141,7 +141,7 @@ def spelled_out(model, img, bundle):
     """The network written out op by op, as one hand-ordered pipeline."""
     cfg, dt = model.config, model.feat_w.data.dtype
     inputs = model.prior_inputs(bundle) if bundle is not None else {}
-    x = conv2d(constant(img.astype(dt)), model.feat_w, model.feat_b, stride=1, pad=1)
+    x = conv2d(constant(img.astype(dt)[None]), model.feat_w, model.feat_b, stride=1, pad=1)
     for bp in model.blocks:
         if isinstance(bp.fusion, FusionParams):
             x = fusion_forward(x, inputs, bp.fusion)
@@ -151,7 +151,7 @@ def spelled_out(model, img, bundle):
     x = pixel_shuffle(conv2d(x, model.recon_w, model.recon_b, stride=1, pad=1), cfg.r)
     base = bicubic_resize(img.astype(np.promote_types(img.dtype, dt)),
                           cfg.h * cfg.r, cfg.w * cfg.r).astype(dt)
-    return add(x, constant(base))
+    return reshape(add(x, constant(base[None])), base.shape)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -178,6 +178,7 @@ def test_stage_list_composes_to_forward_bytes(variant, dtype):
         x = st.run(x, context)
     out, ref = model.forward(img, bundle), spelled_out(model, img, bundle)
     assert out.data.dtype == dtype
+    assert x.shape == (1,) + out.shape == (1,) + ref.shape
     assert out.data.tobytes() == ref.data.tobytes() == x.data.tobytes()
     # same ops in the same order: the gradients agree to the byte as well
     grads = backward(mean_all(out))

@@ -263,7 +263,7 @@ def test_encode_mask_matches_manual_conv():
     w = parameter(Rng(1).uniform((5, 8, 3, 3), -0.2, 0.2), "w")
     b = parameter(np.zeros(5), "b")
     out = encode_mask(m, 8, w, b)
-    assert out.shape == (5, 4, 4)
+    assert out.shape == (1, 5, 4, 4)
     oh = one_hot(m, 8).astype(np.float64)
     padded = np.pad(oh, ((0, 0), (1, 1), (1, 1)))
     want = np.zeros((5, 4, 4))
@@ -271,14 +271,14 @@ def test_encode_mask_matches_manual_conv():
         for y in range(4):
             for x in range(4):
                 want[co, y, x] = (padded[:, y:y + 3, x:x + 3] * w.data[co]).sum()
-    assert np.abs(out.data - want).max() < 1e-10
+    assert np.abs(out.data[0] - want).max() < 1e-10
 
 
 def test_encode_depth_shape():
     d = Rng(2).uniform((6, 5))
     w = parameter(Rng(3).uniform((4, 1, 3, 3), -0.2, 0.2), "w")
     b = parameter(Rng(4).uniform((4,)), "b")
-    assert encode_depth(d, w, b).shape == (4, 6, 5)
+    assert encode_depth(d, w, b).shape == (1, 4, 6, 5)
 
 
 def test_luminance_weights():

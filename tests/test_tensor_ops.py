@@ -46,15 +46,13 @@ def test_conv2d_matches_loop_oracle(seed):
     assert np.allclose(got, conv_oracle(x, w, b, stride, pad), atol=1e-10)
 
 
-def test_conv2d_unbatched_chw():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((3, 6, 6))
-    w = rng.standard_normal((2, 3, 3, 3))
-    b = rng.standard_normal(2)
-    got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, pad=1)
-    ref = conv_oracle(x[None], w, b, 1, 1)[0]
-    assert got.shape == (2, 6, 6)
-    assert np.allclose(got.data, ref, atol=1e-10)
+def test_conv2d_and_pixel_shuffle_reject_rank3():
+    # one layout: a single image is a batch of one, never (C, H, W)
+    x = Tensor(np.zeros((4, 6, 6)))
+    with pytest.raises(ShapeError, match="rank 3 input"):
+        conv2d(x, Tensor(np.zeros((2, 4, 3, 3))), stride=1, pad=1)
+    with pytest.raises(ShapeError, match="rank 3 input"):
+        pixel_shuffle(x, 2)
 
 
 def test_conv2d_shape_errors():
@@ -71,20 +69,18 @@ def strided_conv_reference(x, w, b, stride, pad, g):
     This is the formulation conv2d used before its gather lowering; the
     lowering promises the same bytes, so results are compared exactly.
     """
-    squeeze = x.ndim == 3
-    xd, g4 = (x[None], g[None]) if squeeze else (x, g)
-    n, cin, h, wd = xd.shape
+    n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wd + 2 * pad - kw) // stride + 1
     if kh == kw == 1 and stride == 1 and pad == 0:
-        y = (w.reshape(cout, cin) @ xd.reshape(n, cin, h * wd)).reshape(n, cout, h, wd)
+        y = (w.reshape(cout, cin) @ x.reshape(n, cin, h * wd)).reshape(n, cout, h, wd)
         y += b[:, None, None]
-        gw = np.tensordot(g4, xd, axes=([0, 2, 3], [0, 2, 3])).reshape(w.shape)
-        gx = (w.reshape(cout, cin).T @ g4.reshape(n, cout, ho * wo)).reshape(n, cin, h, wd)
+        gw = np.tensordot(g, x, axes=([0, 2, 3], [0, 2, 3])).reshape(w.shape)
+        gx = (w.reshape(cout, cin).T @ g.reshape(n, cout, ho * wo)).reshape(n, cin, h, wd)
     else:
-        xp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=xd.dtype)
-        xp[:, :, pad:pad + h, pad:pad + wd] = xd
+        xp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad:pad + h, pad:pad + wd] = x
         s0, s1, s2, s3 = xp.strides
         win = np.lib.stride_tricks.as_strided(
             xp, (n, cin, ho, wo, kh, kw), (s0, s1, s2 * stride, s3 * stride, s2, s3))
@@ -92,7 +88,7 @@ def strided_conv_reference(x, w, b, stride, pad, g):
         y = mat @ w.reshape(cout, -1).T
         np.add(y, b, out=y)
         y = np.ascontiguousarray(y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
-        gmat = np.ascontiguousarray(g4.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
+        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
         gw = (gmat.T @ mat).reshape(w.shape)
         gcols = (gmat @ w.reshape(cout, -1)).reshape(n, ho, wo, cin, kh, kw)
         gcols = gcols.transpose(0, 3, 1, 2, 4, 5)
@@ -102,9 +98,7 @@ def strided_conv_reference(x, w, b, stride, pad, g):
                 gxp[:, :, i:i + stride * ho:stride,
                     j:j + stride * wo:stride] += gcols[:, :, :, :, i, j]
         gx = gxp[:, :, pad:pad + h, pad:pad + wd]
-    gb = g4.sum(axis=(0, 2, 3))
-    if squeeze:
-        y, gx = y[0], gx[0]
+    gb = g.sum(axis=(0, 2, 3))
     return y, gx, gw, gb
 
 
@@ -120,7 +114,7 @@ def same_bytes(a, b):
 def test_conv2d_bit_identical_to_strided_reference(dtype, batched, stride, pad, k):
     rng = np.random.default_rng(100 * stride + 10 * pad + k)
     cin, cout, h, wd = 3, 4, 5, 6
-    lead = (2,) if batched else ()
+    lead = (2,) if batched else (1,)
     x = rng.standard_normal(lead + (cin, h, wd)).astype(dtype)
     x[..., ::4] = 0.0
     w = rng.standard_normal((cout, cin, k, k)).astype(dtype)
@@ -144,11 +138,11 @@ def test_conv2d_bit_identical_to_strided_reference(dtype, batched, stride, pad, 
 def test_conv2d_one_output_channel_bit_identical(dtype, batched, stride, k, pad):
     # a one-channel kernel forms its input gradient without a GEMM; zeros of
     # either sign in the gradient and a zero weight tap must not change bytes.
-    # (A padded 1x1 kernel is left out: on an unbatched input the reference's
+    # (A padded 1x1 kernel is left out: on a batch of one the reference's
     # window matrix is a strided view, and its weight gradient rounds apart.)
     rng = np.random.default_rng(1000 + 100 * stride + 10 * pad + k)
     cin, h, wd = 3, 5, 6
-    lead = (2,) if batched else ()
+    lead = (2,) if batched else (1,)
     x = rng.standard_normal(lead + (cin, h, wd)).astype(dtype)
     w = rng.standard_normal((1, cin, k, k)).astype(dtype)
     w[0, 0, 0, 0] = 0.0
@@ -171,10 +165,10 @@ def test_conv2d_bit_identical_on_single_pixel(dtype):
     # all nine taps of every output read the one pixel, so its gradient is a
     # nine-term sum that must keep the reference's sequential order
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((1, 1, 1)).astype(dtype)
+    x = rng.standard_normal((1, 1, 1, 1)).astype(dtype)
     w = (rng.standard_normal((2, 1, 3, 3)) * 10.0 ** rng.integers(-6, 6, (2, 1, 3, 3))).astype(dtype)
     b = rng.standard_normal(2).astype(dtype)
-    g = rng.standard_normal((2, 3, 3)).astype(dtype)
+    g = rng.standard_normal((1, 2, 3, 3)).astype(dtype)
     ref = strided_conv_reference(x, w, b, 1, 2, g)
     out = conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
                  Tensor(b, requires_grad=True), stride=1, pad=2)
@@ -186,10 +180,10 @@ def test_conv2d_bit_identical_on_single_pixel(dtype):
 @pytest.mark.parametrize("k", [1, 3])
 def test_conv2d_constant_input_gets_no_gradient(k):
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((3, 5, 5))
+    x = rng.standard_normal((1, 3, 5, 5))
     w = Tensor(rng.standard_normal((2, 3, k, k)), requires_grad=True)
     b = Tensor(rng.standard_normal(2), requires_grad=True)
-    g = rng.standard_normal((2, 5, 5))
+    g = rng.standard_normal((1, 2, 5, 5))
     pad = k // 2
     gx, gw, gb = conv2d(Tensor(x), w, b, stride=1, pad=pad)._backward(g)
     assert gx is None
@@ -390,8 +384,8 @@ def test_global_avg_pool_ranks():
     rng = np.random.default_rng(4)
     x4 = rng.standard_normal((2, 3, 4, 5))
     assert np.allclose(global_avg_pool(Tensor(x4)).data, x4.mean(axis=(2, 3)))
-    x3 = rng.standard_normal((3, 4, 5))
-    assert np.allclose(global_avg_pool(Tensor(x3)).data, x3.mean(axis=(1, 2)))
+    x3 = rng.standard_normal((3, 4, 5))  # (N, T, D) tokens
+    assert np.allclose(global_avg_pool(Tensor(x3)).data, x3.mean(axis=1))
     toks = rng.standard_normal((6, 5))
     assert np.allclose(global_avg_pool(Tensor(toks)).data, toks.mean(axis=0))
     with pytest.raises(ShapeError):
